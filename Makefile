@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build vet test race race-smoke lint lint-baseline baseline-check check bench bench-smoke trace-smoke fault-smoke fault-par-smoke prof-smoke
+.PHONY: build vet test race race-smoke lint lint-baseline baseline-check check bench bench-smoke electbench-test trace-smoke fault-smoke fault-par-smoke prof-smoke
 
 build:
 	$(GO) build ./...
@@ -19,8 +19,8 @@ race:
 
 # race-smoke mirrors the CI race-smoke job: the concurrency-heavy tests
 # (parallel round loop, worker fan-out, parallel accept/bucketing and its
-# cross-worker conformance suite — forced pool and spawn dispatch columns
-# included, the persistent-pool rapid-dispatch and close-cycle stresses,
+# cross-worker conformance suite — forced-pool columns included, the
+# persistent-pool rapid-dispatch and close-cycle stresses,
 # the million-node scale round — faulted expander column included, fault
 # injection inside the parallel phase bodies, and the chaos soak) under the
 # race detector, without -short. This is the dynamic backstop for the
@@ -59,6 +59,12 @@ bench:
 # signal; ns/op only trips on catastrophic slowdowns).
 bench-smoke:
 	$(GO) run ./cmd/mtmbench -quick -label smoke -out - -compare BENCH_seed.json
+
+# electbench-test mirrors the CI electbench step: the end-to-end election
+# benchmark is a separate module that root `go test ./...` skips, so this
+# is what catches a facade or engine API change that breaks it.
+electbench-test:
+	cd electbench && $(GO) test ./...
 
 # fault-smoke mirrors the CI fault-smoke job, the crash-safe harness
 # contract end to end: (1) a checkpointed sweep killed mid-run (-die-after)

@@ -127,15 +127,10 @@ func buildSuite() []Benchmark {
 // roundsBenches is the paper-scale round tier: one op = one steady-state
 // round at the n the paper's experiments actually use (10³–10⁴ nodes),
 // where per-round dispatch overhead — not per-node work — decides whether
-// parallelism pays. Each family sweeps the three dispatch cores at w=8
-// alongside the w=1 inline baseline: DispatchAuto is what production runs
-// get (the pool with its benchmark-derived gate, resolving inline on
-// single-P hosts), DispatchPool forces the persistent pool's epoch-publish
-// dispatch, and DispatchSpawn forces the historical per-phase
-// goroutine-spawning core the pool replaced. A recording therefore carries
-// the pool-vs-spawn crossover evidence at both n, and -compare against the
-// seed watches the w=8 auto entry for regressions in exactly the regime the
-// rework targets.
+// parallelism pays. Each family runs w=8 — the production resolution: the
+// worker pool, since both n are at or above its dispatch floor, or inline
+// on single-P hosts — beside the w=1 inline baseline, and -compare against
+// the seed watches the w=8 entry for regressions in exactly that regime.
 func roundsBenches() []Benchmark {
 	var suite []Benchmark
 	for _, nodes := range []int{1 << 10, 1 << 12} {
@@ -149,20 +144,11 @@ func roundsBenches() []Benchmark {
 			}
 			return *shared
 		}
-		sweep := []struct {
-			suffix   string
-			workers  int
-			dispatch sim.Dispatch
-		}{
-			{"w=1", 1, sim.DispatchAuto},
-			{"w=8", 8, sim.DispatchAuto},
-			{"w=8-pool", 8, sim.DispatchPool},
-			{"w=8-spawn", 8, sim.DispatchSpawn},
-		}
-		for i, sw := range sweep {
-			sw := sw
+		sweep := []int{1, 8}
+		for i, workers := range sweep {
+			workers := workers
 			last := i == len(sweep)-1
-			name := fmt.Sprintf("rounds/%s/%s", label, sw.suffix)
+			name := fmt.Sprintf("rounds/%s/w=%d", label, workers)
 			var (
 				eng  *sim.Engine
 				next = 1
@@ -173,15 +159,15 @@ func roundsBenches() []Benchmark {
 				// The production-config entry at the larger n joins the quick
 				// subset: CI's compare gate watches the exact configuration
 				// the pool rework promises to speed up.
-				Quick:   nodes == 1<<12 && sw.suffix == "w=8",
-				Workers: sw.workers,
+				Quick:   nodes == 1<<12 && workers == 8,
+				Workers: workers,
 				Fn: func(iters int) int64 {
 					if eng == nil {
 						fam := family()
 						protocols := core.NewBlindGossipNetwork(core.UniqueUIDs(fam.N(), suiteSeed))
 						var err error
 						eng, err = sim.New(dyngraph.NewStatic(fam), protocols,
-							sim.Config{Seed: suiteSeed, Workers: sw.workers, Dispatch: sw.dispatch})
+							sim.Config{Seed: suiteSeed, Workers: workers})
 						if err != nil {
 							fatalf("rounds bench (%s): %v", name, err)
 						}
@@ -192,7 +178,7 @@ func roundsBenches() []Benchmark {
 				},
 				Cleanup: func() {
 					if eng != nil {
-						eng.Close() // forced-pool entries own parked worker goroutines
+						eng.Close() // pool engines own parked worker goroutines
 						eng = nil
 					}
 					if last {

@@ -42,11 +42,10 @@ func run() error {
 		spread      = flag.Int("activation-spread", 0, "stagger activations uniformly over this many rounds (asyncbitconv)")
 		verbose     = flag.Bool("v", false, "print topology metadata before running")
 		curve       = flag.Bool("curve", false, "print a sparkline of connections per round")
-		record      = flag.String("record", "", "write a JSON-lines execution recording to this file")
 		traceFile   = flag.String("trace", "", "write a structured JSONL event trace (mtmtrace/v1) to this file")
 		metricsFile = flag.String("metrics", "", "write a JSON run-metrics summary (mtmtrace-metrics/v1) to this file")
 		phaseProf   = flag.String("phase-prof", "", "write a JSON phase-timing report (mtmprof/v1) to this file")
-		workers     = flag.Int("workers", 0, "engine worker count (0 = sequential; results and traces are identical across counts)")
+		workers     = flag.Int("workers", 0, "engine worker count (0 = GOMAXPROCS, 1 = sequential; results and traces are identical across counts)")
 		classical   = flag.Bool("classical", false, "use classical telephone semantics (unbounded incoming connections; baseline, not the paper's model)")
 		cpuprofile  = flag.String("cpuprofile", "", "write a CPU profile to this file")
 
@@ -117,7 +116,6 @@ func run() error {
 		path string
 		dst  *io.Writer
 	}{
-		{*record, &opts.RecordTo},
 		{*traceFile, &opts.TraceTo},
 		{*metricsFile, &opts.MetricsTo},
 		{*phaseProf, &opts.PhaseProfTo},
@@ -135,7 +133,7 @@ func run() error {
 		outFiles = append(outFiles, f)
 		*out.dst = f
 	}
-	// commitOutputs atomically publishes the recordings once the run has
+	// commitOutputs atomically publishes the output files once the run has
 	// succeeded; a failed run leaves previous files (if any) intact.
 	commitOutputs := func() error {
 		for _, f := range outFiles {

@@ -30,7 +30,7 @@ import (
 //   - amortized growth: `x = make(...)` or `x = append(x, ...)` guarded by
 //     an enclosing if whose condition measures cap(x) or len(x) — the
 //     inboxTo doubling — and self-append to a struct field or package
-//     variable (high-water-mark scratch such as pairScratch);
+//     variable (high-water-mark scratch such as Context.nbr);
 //   - panic-cold code: allocations inside panic arguments, or in a block
 //     that ends by panicking, never run in the steady state;
 //   - closures passed directly to sort.Search, which is documented
@@ -426,7 +426,7 @@ func (f *hotFuncWalk) isAmortizedAppend(call *ast.CallExpr) bool {
 	}
 	switch l := lhs.(type) {
 	case *ast.SelectorExpr:
-		return true // field scratch, e.g. e.pairScratch
+		return true // field scratch, e.g. c.nbr
 	case *ast.Ident:
 		obj := f.info().ObjectOf(l)
 		return obj != nil && obj.Pkg() != nil && obj.Parent() == obj.Pkg().Scope()

@@ -102,7 +102,7 @@ const busyStride = 8
 type Profiler struct {
 	clock    func() int64
 	workers  int
-	dispatch string // resolved dispatch mode ("inline", "pool", "spawn")
+	dispatch string // resolved dispatch mode ("inline" or "pool")
 	gate     int    // node-count floor below which dispatches run inline
 	rounds   int64
 	runNS    int64
@@ -187,9 +187,8 @@ type PhaseProfile struct {
 type ProfReport struct {
 	Schema  string `json:"schema"`
 	Workers int    `json:"workers"`
-	// Dispatch is the engine's resolved dispatch mode ("inline", "pool",
-	// "spawn"); GateNodes is the node-count floor below which dispatches run
-	// inline. Both are omitted by profilers that predate the worker pool —
+	// Dispatch is the engine's resolved dispatch mode ("inline" or "pool");
+	// GateNodes is the node-count floor below which dispatches run inline. Both are omitted by profilers that predate the worker pool —
 	// adding omitempty fields is a compatible mtmprof/v1 extension.
 	Dispatch  string `json:"dispatch,omitempty"`
 	GateNodes int    `json:"gate_nodes,omitempty"`

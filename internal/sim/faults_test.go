@@ -58,8 +58,10 @@ func TestSteadyStateZeroAllocsFaultFree(t *testing.T) {
 // they run inside the parallel phase bodies without any draw-order coupling.
 // The full repertoire sweep with traces lives in
 // TestParallelRoundConformanceAcrossWorkers; this is the long-run version.
+// The multi-worker run goes through sim.WithPool: n is under the pool's
+// dispatch floor, where the production resolution would run inline.
 func TestFaultDeterminismAcrossWorkers(t *testing.T) {
-	const n = 300 // above the parallelFor inline threshold
+	const n = 300
 	plan := fault.Plan{
 		Seed: 9, CrashRate: 0.01, RecoverRate: 0.3, ResetOnRecover: true,
 		ProposalLoss: 0.1, ConnLoss: 0.05,
@@ -68,11 +70,12 @@ func TestFaultDeterminismAcrossWorkers(t *testing.T) {
 		eng, err := sim.New(
 			dyngraph.NewStatic(gen.RandomRegular(n, 6, 3)),
 			core.NewBlindGossipNetwork(core.UniqueUIDs(n, 5)),
-			sim.Config{Seed: 5, Workers: workers, MaxRounds: 4000, Faults: mustInjector(t, plan, n)},
+			sim.WithPool(sim.Config{Seed: 5, Workers: workers, MaxRounds: 4000, Faults: mustInjector(t, plan, n)}),
 		)
 		if err != nil {
 			t.Fatal(err)
 		}
+		defer eng.Close()
 		res, err := eng.Run(sim.AllLeadersEqual)
 		if err != nil {
 			t.Fatal(err)

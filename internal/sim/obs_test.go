@@ -69,7 +69,9 @@ func TestTraceDeterminism(t *testing.T) {
 // TestTraceCountersMatchStats cross-checks the event stream against the
 // engine's own RoundStats: per round, the emitted propose/accept/reject/
 // connect events must reconcile with the counters, and every proposal must
-// be accounted for as accepted, rejected, or lost.
+// be accounted for as accepted, rejected, or lost. Connect events must name
+// each pair canonically — (smaller, larger) in-range node ids — and form a
+// matching: no node connects twice in one round.
 func TestTraceCountersMatchStats(t *testing.T) {
 	ring, stats := runTraced(t, 3)
 	if ring.Header().N != 32 {
@@ -78,6 +80,7 @@ func TestTraceCountersMatchStats(t *testing.T) {
 
 	type counts struct{ proposes, accepts, rejects, connects, starts, ends int }
 	perRound := make(map[int]*counts)
+	connected := make(map[[2]int]bool) // (round, node)
 	get := func(r int) *counts {
 		c := perRound[r]
 		if c == nil {
@@ -101,6 +104,15 @@ func TestTraceCountersMatchStats(t *testing.T) {
 			c.rejects++
 		case obs.TypeConnect:
 			c.connects++
+			if e.Node < 0 || e.Node >= e.Peer || int(e.Peer) >= ring.Header().N {
+				t.Errorf("round %d: connect (%d, %d) not a canonical in-range pair", e.Round, e.Node, e.Peer)
+			}
+			for _, u := range []int32{e.Node, e.Peer} {
+				if connected[[2]int{e.Round, int(u)}] {
+					t.Errorf("round %d: node %d connected twice", e.Round, u)
+				}
+				connected[[2]int{e.Round, int(u)}] = true
+			}
 		}
 	}
 
@@ -134,24 +146,27 @@ func TestTraceCountersMatchStats(t *testing.T) {
 }
 
 // TestPhaseProfiler runs profiled parallel elections with a deterministic
-// counter clock and checks the mtmprof/v1 report in every dispatch mode:
-// the fused default attributes dispatch wall time to the composite phases
-// and self-timed busy time to their constituent sweeps, the forced pool
-// does the same with real parallel workers, and the legacy spawn core keeps
-// its historical per-phase attribution. The flush phase appears exactly
-// when tracing is on, the resolved dispatch mode and gate are visible in
-// the report, and profiling never perturbs the run (bit-identical Result vs
-// the unprofiled engine).
+// counter clock and checks the mtmprof/v1 report on both dispatch paths:
+// the inline default attributes fused-dispatch wall time to the composite
+// phases and self-timed busy time to their constituent sweeps, and the
+// forced pool does the same with real parallel workers. The flush phase
+// appears exactly when tracing is on, the resolved dispatch mode and gate
+// are visible in the report, and profiling never perturbs the run
+// (bit-identical Result vs the unprofiled engine).
 func TestPhaseProfiler(t *testing.T) {
 	const (
-		n       = 512 // above the spawn gate so the spawn core dispatches in parallel
+		n       = 512 // under the pool's dispatch floor: auto resolves inline
 		workers = 4
 	)
-	run := func(prof *obs.Profiler, sink obs.Sink, dispatch sim.Dispatch) sim.Result {
+	run := func(prof *obs.Profiler, sink obs.Sink, pool bool) sim.Result {
+		cfg := sim.Config{Seed: 9, Workers: workers, Profiler: prof, Sink: sink}
+		if pool {
+			cfg = sim.WithPool(cfg)
+		}
 		eng, err := sim.New(
 			dyngraph.NewStatic(gen.RandomRegular(n, 8, 3)),
 			core.NewBlindGossipNetwork(core.UniqueUIDs(n, 9)),
-			sim.Config{Seed: 9, Workers: workers, Profiler: prof, Sink: sink, Dispatch: dispatch},
+			cfg,
 		)
 		if err != nil {
 			t.Fatal(err)
@@ -169,10 +184,10 @@ func TestPhaseProfiler(t *testing.T) {
 		ticks := new(atomic.Int64)
 		return obs.NewProfiler(func() int64 { return ticks.Add(1) })
 	}
-	report := func(t *testing.T, dispatch sim.Dispatch, want sim.Result) obs.ProfReport {
+	report := func(t *testing.T, pool bool, want sim.Result) obs.ProfReport {
 		t.Helper()
 		prof := newProf()
-		got := run(prof, obs.NewRing(1<<16), dispatch)
+		got := run(prof, obs.NewRing(1<<16), pool)
 		if got != want {
 			t.Fatalf("profiled run diverged from unprofiled: %+v vs %+v", got, want)
 		}
@@ -188,7 +203,7 @@ func TestPhaseProfiler(t *testing.T) {
 		}
 		return rep
 	}
-	want := run(nil, nil, sim.DispatchAuto)
+	want := run(nil, nil, false)
 
 	// The fused phase lists: composites carry the dispatch wall time, the
 	// constituent sweeps carry self-timed busy time only.
@@ -202,7 +217,7 @@ func TestPhaseProfiler(t *testing.T) {
 		// all-inline engine runs the sequential step-4 core, so the report
 		// shows bucket_accept instead of the chunk-safe count/merge/scatter/
 		// accept pipeline and its partner materialization.
-		rep := report(t, sim.DispatchAuto, want)
+		rep := report(t, false, want)
 		if rep.Dispatch != "inline" || rep.GateNodes <= n {
 			t.Errorf("auto dispatch resolved as %q (gate %d), want inline gated above n=%d",
 				rep.Dispatch, rep.GateNodes, n)
@@ -233,7 +248,7 @@ func TestPhaseProfiler(t *testing.T) {
 	})
 
 	t.Run("pool", func(t *testing.T) {
-		rep := report(t, sim.DispatchPool, want)
+		rep := report(t, true, want)
 		if rep.Dispatch != "pool" {
 			t.Errorf("forced pool resolved as %q", rep.Dispatch)
 		}
@@ -267,49 +282,14 @@ func TestPhaseProfiler(t *testing.T) {
 		}
 	})
 
-	t.Run("spawn", func(t *testing.T) {
-		// The legacy core: unfused phases, each with wall and per-worker
-		// busy time — the historical report shape.
-		rep := report(t, sim.DispatchSpawn, want)
-		if rep.Dispatch != "spawn" {
-			t.Errorf("forced spawn resolved as %q", rep.Dispatch)
-		}
-		if _, ok := phaseMap(rep)["bucket_accept"]; ok {
-			t.Error("parallel spawn run reported the sequential bucket_accept phase")
-		}
-		phases := phaseMap(rep)
-		for _, name := range []string{"active_scan", "advertise", "decide", "count",
-			"merge", "scatter", "accept", "partner", "exchange", "end_round", "flush"} {
-			p, ok := phases[name]
-			if !ok {
-				t.Errorf("phase %q missing from report (got %v)", name, rep.Phases)
-				continue
-			}
-			if p.WallNS <= 0 {
-				t.Errorf("phase %q has no wall time", name)
-			}
-			if len(p.BusyNS) != workers {
-				t.Errorf("phase %q has %d busy slots, want %d", name, len(p.BusyNS), workers)
-			}
-			if p.Imbalance < 1 {
-				t.Errorf("phase %q imbalance %v < 1", name, p.Imbalance)
-			}
-		}
-		for _, name := range []string{"scan_advertise", "partner_exchange"} {
-			if _, ok := phases[name]; ok {
-				t.Errorf("spawn core reported fused phase %q", name)
-			}
-		}
-	})
-
 	prof := newProf()
-	if run(prof, obs.NewRing(1<<16), sim.DispatchAuto); len(prof.TopPhases(3)) != 3 {
+	if run(prof, obs.NewRing(1<<16), false); len(prof.TopPhases(3)) != 3 {
 		t.Errorf("TopPhases(3) = %v, want 3 entries", prof.TopPhases(3))
 	}
 
 	// An untraced profiled run must not report a flush phase.
 	prof2 := newProf()
-	run(prof2, nil, sim.DispatchAuto)
+	run(prof2, nil, false)
 	for _, p := range prof2.Report().Phases {
 		if p.Phase == "flush" {
 			t.Error("untraced run reported a flush phase")
@@ -327,7 +307,8 @@ func phaseMap(rep obs.ProfReport) map[string]obs.PhaseProfile {
 }
 
 // TestTraceClassicalMode checks the classicalFinish emission path: every
-// proposal is accepted, and rejects stay zero.
+// proposal is accepted and connected as a canonical (smaller, larger) pair,
+// and rejects stay zero.
 func TestTraceClassicalMode(t *testing.T) {
 	const n = 16
 	ring := obs.NewRing(1 << 16)
@@ -345,7 +326,7 @@ func TestTraceClassicalMode(t *testing.T) {
 	if !ring.Header().Classical {
 		t.Error("header does not mark the run classical")
 	}
-	proposes, accepts, rejects := 0, 0, 0
+	proposes, accepts, rejects, connects := 0, 0, 0, 0
 	for _, e := range ring.Events() {
 		switch e.Type {
 		case obs.TypePropose:
@@ -354,10 +335,15 @@ func TestTraceClassicalMode(t *testing.T) {
 			accepts++
 		case obs.TypeReject:
 			rejects++
+		case obs.TypeConnect:
+			connects++
+			if e.Node >= e.Peer {
+				t.Errorf("round %d: classical connect (%d, %d) not canonical", e.Round, e.Node, e.Peer)
+			}
 		}
 	}
-	if proposes == 0 || proposes != accepts || rejects != 0 {
-		t.Errorf("classical trace: proposes=%d accepts=%d rejects=%d; want all proposals accepted",
-			proposes, accepts, rejects)
+	if proposes == 0 || proposes != accepts || accepts != connects || rejects != 0 {
+		t.Errorf("classical trace: proposes=%d accepts=%d connects=%d rejects=%d; want all proposals accepted and connected",
+			proposes, accepts, connects, rejects)
 	}
 }

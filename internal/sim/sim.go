@@ -27,7 +27,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"sync"
 
 	"mobiletel/internal/dyngraph"
 	"mobiletel/internal/fault"
@@ -207,17 +206,13 @@ type Config struct {
 	Departures []int
 
 	// Workers sets the parallelism of the engine's bulk-synchronous steps.
-	// Zero means GOMAXPROCS; 1 forces sequential execution. Results are
-	// identical for any worker count.
+	// Zero means GOMAXPROCS; 1 forces sequential execution. Parallel phases
+	// run on a persistent worker pool, which the engine starts only when the
+	// network is large enough — and the host wide enough — for parallel
+	// dispatch to pay (see DESIGN §14 for the measured crossover); smaller
+	// engines run every phase inline. Results, traces, and digests are
+	// identical for any worker count; only throughput differs.
 	Workers int
-
-	// Dispatch selects how parallel phases are executed when Workers > 1.
-	// The default (DispatchAuto) uses the persistent worker pool, gated to
-	// inline execution when the network is too small — or the host too
-	// narrow — for parallel dispatch to pay (see DESIGN §14 for the
-	// measured crossover). Results, traces, and digests are identical
-	// across all modes; only throughput differs.
-	Dispatch Dispatch
 
 	// Accept selects how a receiver picks among incoming proposals.
 	// The model (and every analysis in the paper) uses AcceptUniform;
@@ -234,12 +229,6 @@ type Config struct {
 
 	// Observer, when non-nil, receives per-round statistics.
 	Observer func(RoundStats)
-
-	// OnConnections, when non-nil, receives the exact set of connections
-	// established each round as (smaller, larger) node pairs in ascending
-	// order — the hook behind execution recording (see Recorder in
-	// record.go). The slice is reused across rounds; copy it to retain.
-	OnConnections func(round int, pairs [][2]int32)
 
 	// Faults, when non-nil, injects the compiled fault plan into the
 	// execution: crash/recover churn (a down node is treated exactly like a
@@ -295,32 +284,13 @@ type Config struct {
 	// zero-allocation steady state for timing; with Profiler nil the round
 	// loop is unchanged.
 	Profiler *obs.Profiler
+
+	// forcePool starts the worker pool for any Workers > 1, ignoring the
+	// node-count and single-P gates, so tests can exercise the parallel
+	// path on small networks and narrow hosts. Set only by tests (see
+	// export_test.go).
+	forcePool bool
 }
-
-// Dispatch selects the parallel execution core (Config.Dispatch). Every
-// mode produces bit-identical results; the non-default modes exist for the
-// differential conformance suite and for crossover benchmarking.
-type Dispatch int
-
-const (
-	// DispatchAuto (the default) runs phase dispatches on the persistent
-	// worker pool, falling back to inline execution when n is under the
-	// pool's measured dispatch floor or the host has a single P (with
-	// GOMAXPROCS=1 no second worker can ever run concurrently, so any
-	// dispatch cost is pure loss).
-	DispatchAuto Dispatch = iota
-	// DispatchPool forces pool dispatch for any Workers > 1, ignoring the
-	// inline gate — the mode stress tests and crossover benchmarks use to
-	// exercise the pool regardless of n and GOMAXPROCS.
-	DispatchPool
-	// DispatchSpawn is the historical per-phase goroutine-spawning core
-	// (fresh goroutines plus a WaitGroup per dispatch, inline under 256
-	// nodes), kept as the differential baseline: conformance tests compare
-	// it bit-for-bit against the pool, and the rounds benchmark tier
-	// measures the pool's advantage against it. Phase fusion is disabled
-	// so the mode reproduces the historical execution shape exactly.
-	DispatchSpawn
-)
 
 // AcceptPolicy selects how a receiver chooses among incoming proposals.
 type AcceptPolicy int
@@ -421,47 +391,28 @@ type Engine struct {
 	cursor  []int32 // scratch for the per-round counting sort
 	workers int
 
-	// parCore selects the parallel round core: the active scan, proposal
-	// bucketing (two-pass counting sort: per-worker histograms + sequential
-	// prefix merge + parallel scatter), accept, and partner phases all run
-	// chunked across workers. New enables it exactly when Workers > 1 —
-	// fault injection is compatible, because every per-node fault draw is
-	// node-addressed (its own (plan seed, kind, node, round) stream, see
-	// internal/fault), so phase bodies evaluate them at fixed per-node
-	// points with no cross-worker ordering. Tracing is compatible too:
-	// phase bodies emit into per-worker buffers (wbufs) drained in chunk
-	// order at each barrier, which reproduces the sequential event order
-	// exactly. Results are bit-identical to the sequential core for any
-	// worker count: inboxes stay sender-ordered (worker chunks ascend in
-	// sender id) and each receiver's accept choice draws only from its own
-	// rngs[v] stream.
-	parCore bool
-	hist    []int32 // per-worker proposal histograms/cursors, workers rows of n
-	chosen  []int32 // per-receiver accepted sender (or noPartner), parCore only
+	// pool is the persistent worker pool, and its presence is the engine's
+	// one dispatch decision, resolved once in New (see DESIGN §14). With a
+	// pool, every phase runs chunked across workers, including proposal
+	// bucketing (two-pass counting sort: per-worker histograms in hist, a
+	// sequential prefix merge, a parallel scatter) and accept (winners in
+	// chosen). Without one, every phase runs inline and step 4 is the
+	// sequential counting sort: the per-worker histogram discipline is pure
+	// overhead with one executor. Fault injection and tracing need no
+	// special case: every per-node fault draw is node-addressed (its own
+	// (plan seed, kind, node, round) stream, see internal/fault), and phase
+	// bodies emit into per-worker buffers (wbufs) drained in chunk order at
+	// each barrier. Results are bit-identical either way: inboxes stay
+	// sender-ordered (worker chunks ascend in sender id) and each receiver's
+	// accept choice draws only from its own rngs[v] stream.
+	pool   *workerPool
+	hist   []int32 // per-worker proposal histograms/cursors, workers rows of n; pool only
+	chosen []int32 // per-receiver accepted sender (or noPartner); pool only
 
-	// pool is the persistent dispatch core (nil when every dispatch of this
-	// engine resolves inline, or in DispatchSpawn mode); gate is the node
-	// count below which parallelFor runs inline, and inlineAll forces every
-	// dispatch inline regardless of n (Workers == 1, or DispatchAuto on a
-	// single-P host). parExec is the once-resolved conjunction — this engine
-	// ever dispatches in parallel — which also selects the step-4 core: an
-	// engine whose dispatches all resolve inline runs the sequential
-	// counting sort, not the chunk-safe parallel one, because the parallel
-	// core's per-worker histogram discipline is pure overhead with one
-	// executor (the two cores are bit-identical by the conformance
-	// contract). All resolved once in New — see DESIGN §14.
-	pool      *workerPool
-	gate      int
-	inlineAll bool
-	parExec   bool
-
-	// fuseScanAdv/fusePartnerEx enable the fused phase bodies (resolved in
-	// New): scan+advertise fuse on fault-free rounds whose trace emission is
-	// buffered (or absent), partner+exchange fuse in the parallel core when
-	// no OnConnections hook needs the pre-exchange pair list. DispatchSpawn
-	// disables both (it reproduces the historical execution shape).
-	fuseScanAdv   bool
-	fusePartnerEx bool
+	// fuseScanAdv enables the fused scan+advertise body (resolved in New):
+	// only on fault-free rounds whose trace emission is buffered (or
+	// absent). Partner+exchange always run fused on the pool.
+	fuseScanAdv bool
 
 	// propLost[u] records whether a fault dropped sender u's proposal in
 	// transit this round: written at u by the counting pass, read at u by
@@ -500,7 +451,6 @@ type Engine struct {
 	phCount      func(w, lo, hi int)
 	phScatter    func(w, lo, hi int)
 	phAccept     func(w, lo, hi int)
-	phPartner    func(w, lo, hi int)
 	phScanAdv    func(w, lo, hi int)
 	phPartnerEx  func(w, lo, hi int)
 	ctxA         []Context // one per worker
@@ -514,8 +464,6 @@ type Engine struct {
 	// stopGate is the first round at which the stop condition may fire: the
 	// last activation round, so partial networks cannot "stabilize" early.
 	stopGate int
-
-	pairScratch [][2]int32 // reused buffer for Config.OnConnections
 
 	connCount []int64 // lifetime connections per node (battery accounting)
 
@@ -620,38 +568,28 @@ func New(sched dyngraph.Schedule, protocols []Protocol, cfg Config) (*Engine, er
 		}
 	}
 	e := &Engine{
-		sched:       sched,
-		cfg:         cfg,
-		n:           n,
-		protocols:   protocols,
-		rngs:        make([]xrand.RNG, n),
-		tags:        make([]uint64, n),
-		actions:     make([]int32, n),
-		active:      make([]bool, n),
-		inboxTo:     make([]int32, 0, n),
-		inboxAt:     make([]int32, n+1),
-		partner:     make([]int32, n),
-		cursor:      make([]int32, n),
-		workers:     workers,
-		stopGate:    stopGate,
-		pairScratch: make([][2]int32, 0, n/2+1),
-		connCount:   make([]int64, n),
-		ctxA:        make([]Context, workers),
-		ctxB:        make([]Context, workers),
+		sched:     sched,
+		cfg:       cfg,
+		n:         n,
+		protocols: protocols,
+		rngs:      make([]xrand.RNG, n),
+		tags:      make([]uint64, n),
+		actions:   make([]int32, n),
+		active:    make([]bool, n),
+		inboxTo:   make([]int32, 0, n),
+		inboxAt:   make([]int32, n+1),
+		partner:   make([]int32, n),
+		cursor:    make([]int32, n),
+		workers:   workers,
+		stopGate:  stopGate,
+		connCount: make([]int64, n),
+		chunks:    make([]int, workers+1),
+		counters:  make([]workerCounters, workers),
+		ctxA:      make([]Context, workers),
+		ctxB:      make([]Context, workers),
 	}
 	if cfg.TagBits < 64 {
 		e.tagLimit = uint64(1) << uint(cfg.TagBits)
-	}
-	// The parallel round core is unconditional at Workers > 1: per-node
-	// fault draws are node-addressed (order-independent, see internal/fault)
-	// and tracing goes through per-worker buffers merged in chunk order at
-	// each barrier, so neither forces the engine sequential.
-	e.parCore = workers > 1
-	e.chunks = make([]int, workers+1)
-	e.counters = make([]workerCounters, workers)
-	if e.parCore {
-		e.hist = make([]int32, workers*n)
-		e.chosen = make([]int32, n)
 	}
 	if cfg.Faults != nil {
 		e.propLost = make([]bool, n)
@@ -659,48 +597,34 @@ func New(sched dyngraph.Schedule, protocols []Protocol, cfg Config) (*Engine, er
 	if workers > 1 && cfg.Sink != nil {
 		e.wbufs = make([]obs.WorkerBuf, workers)
 	}
-	// Resolve the dispatch core once (see DESIGN §14): the inline gate per
-	// core, whether this engine can ever dispatch in parallel, and — when it
-	// can, outside the legacy spawn mode — the persistent worker pool. A
-	// parked pool holds no engine reference, so the finalizer fires once the
-	// engine is garbage and stops the workers; Close does the same
-	// deterministically.
-	switch cfg.Dispatch {
-	case DispatchSpawn:
-		e.gate = spawnDispatchFloor
-		e.inlineAll = workers == 1
-	case DispatchPool:
-		e.inlineAll = workers == 1
-	default: // DispatchAuto
-		e.gate = poolDispatchFloor
-		e.inlineAll = workers == 1 || runtime.GOMAXPROCS(0) == 1
+	// Resolve dispatch once (see DESIGN §14): the pool runs when there is a
+	// second worker, a second P for it to run on (with GOMAXPROCS=1 any
+	// dispatch cost is pure loss), and a network at or above the pool's
+	// measured dispatch floor. A parked pool holds no engine reference, so
+	// the finalizer fires once the engine is garbage and stops the workers;
+	// Close does the same deterministically.
+	gate := poolDispatchFloor
+	if cfg.forcePool {
+		gate = 0
 	}
-	e.parExec = !e.inlineAll && n >= e.gate
-	if e.parExec && cfg.Dispatch != DispatchSpawn {
+	if workers > 1 && n >= gate && (cfg.forcePool || runtime.GOMAXPROCS(0) > 1) {
 		e.pool = newWorkerPool(workers)
+		e.hist = make([]int32, workers*n)
+		e.chosen = make([]int32, n)
 		runtime.SetFinalizer(e, func(en *Engine) { en.pool.close() })
 	}
-	// Phase fusion (off in spawn mode, which reproduces the historical
-	// execution shape): scan+advertise need fault-free rounds — resets and
-	// churn publication run between them otherwise — and buffered (or
-	// absent) trace emission, so the RoundStart event still precedes the
-	// advertise events in the flushed stream. Partner+exchange need the
-	// parallel core and no OnConnections hook (the hook observes the pair
-	// list before any exchange).
-	e.fuseScanAdv = cfg.Dispatch != DispatchSpawn && cfg.Faults == nil &&
-		(cfg.Sink == nil || e.wbufs != nil)
-	e.fusePartnerEx = cfg.Dispatch != DispatchSpawn && e.parCore && e.parExec &&
-		cfg.OnConnections == nil
+	// Scan+advertise fuse only on fault-free rounds — resets and churn
+	// publication run between them otherwise — whose trace emission is
+	// buffered (or absent), so the RoundStart event still precedes the
+	// advertise events in the flushed stream.
+	e.fuseScanAdv = cfg.Faults == nil && (cfg.Sink == nil || e.wbufs != nil)
 	if cfg.Profiler != nil {
 		cfg.Profiler.Attach(workers)
-		mode := "pool"
-		switch {
-		case cfg.Dispatch == DispatchSpawn && !e.inlineAll:
-			mode = "spawn"
-		case e.pool == nil:
-			mode = "inline"
+		mode := "inline"
+		if e.pool != nil {
+			mode = "pool"
 		}
-		cfg.Profiler.SetDispatch(mode, e.gate)
+		cfg.Profiler.SetDispatch(mode, gate)
 		e.prof = cfg.Profiler
 	}
 	// Method values allocate their receiver binding; do it once here, not
@@ -714,7 +638,6 @@ func New(sched dyngraph.Schedule, protocols []Protocol, cfg Config) (*Engine, er
 	e.phCount = e.phaseCount
 	e.phScatter = e.phaseScatter
 	e.phAccept = e.phaseAccept
-	e.phPartner = e.phasePartner
 	e.phScanAdv = e.phaseScanAdvertise
 	e.phPartnerEx = e.phasePartnerExchange
 	return e, nil
@@ -900,34 +823,23 @@ func (e *Engine) stepCore(r int) RoundStats {
 	// streams: fault draws are node-addressed, so each core evaluates them
 	// at the same per-node points.
 	var proposals, connections, rejects, busyLost, faultLost int
-	if e.parCore && e.parExec {
+	if e.pool != nil {
 		proposals, connections, rejects, busyLost, faultLost = e.bucketAcceptParallel()
-		// Steps 4b-5: materialize partners, then exchange — fused into one
-		// barrier when no OnConnections hook needs the pair list first.
+		// Steps 4b-5: materialize partners, then exchange, in one barrier.
 		// The fusion is race-free because a chunk's exchange sweep reads
 		// only its own partner entries (written by its own partner sweep)
 		// and pairs are node-disjoint: the peer state an exchange touches
 		// (protocols[v], rngs[v]) is disjoint from the partner/connCount
 		// cells the peer's own worker may still be writing.
-		if e.fusePartnerEx {
-			e.parallelForFused(obs.PhasePartnerExchange, e.phPartnerEx)
-			e.flushWorkerBufs()
-		} else {
-			e.parallelFor(obs.PhasePartner, e.phPartner)
-			e.emitConnections(r)
-			e.parallelFor(obs.PhaseExchange, e.phExchange)
-			e.flushWorkerBufs()
-		}
+		e.parallelForFused(obs.PhasePartnerExchange, e.phPartnerEx)
 	} else {
 		t0 := e.profStart()
 		proposals, connections, rejects, busyLost, faultLost = e.bucketAcceptSequential(r)
 		e.profEnd(obs.PhaseBucketSeq, t0)
-		e.emitConnections(r)
-		// Step 5: exchange over established connections (pairs are
-		// node-disjoint, so the parallel dispatch is race-free).
+		// Step 5: exchange over established connections.
 		e.parallelFor(obs.PhaseExchange, e.phExchange)
-		e.flushWorkerBufs()
 	}
+	e.flushWorkerBufs()
 
 	// End of round.
 	e.parallelFor(obs.PhaseEndRound, e.phEndRound)
@@ -1115,7 +1027,7 @@ func (e *Engine) bucketAcceptSequential(r int) (proposals, connections, rejects,
 	return proposals, connections, rejects, busyLost, faultLost
 }
 
-// bucketAcceptParallel is the parCore step-4 core: a two-pass parallel
+// bucketAcceptParallel is the pool's step-4 core: a two-pass parallel
 // counting sort buckets proposals (per-worker histograms, one sequential
 // column-major prefix merge that turns histogram cells into scatter cursor
 // bases, then a parallel scatter), followed by a parallel accept phase —
@@ -1123,7 +1035,7 @@ func (e *Engine) bucketAcceptSequential(r int) (proposals, connections, rejects,
 // stream. Worker chunks ascend in sender id, so every inbox comes out in
 // the exact sender order the sequential core produces. The partner/
 // connCount materialization happens afterwards in stepCore, fused into the
-// exchange dispatch when possible.
+// exchange dispatch.
 //
 //mtmlint:hotpath
 func (e *Engine) bucketAcceptParallel() (proposals, connections, rejects, busyLost, faultLost int) {
@@ -1157,8 +1069,8 @@ func (e *Engine) bucketAcceptParallel() (proposals, connections, rejects, busyLo
 	e.parallelFor(obs.PhaseAccept, e.phAccept)
 	e.flushWorkerBufs()
 	// The round's accounting is complete after count + accept (partner
-	// materialization touches no counters), so the sums happen here and the
-	// caller is free to fuse the partner sweep into the exchange dispatch.
+	// materialization touches no counters), so the sums happen here, before
+	// the caller's fused partner+exchange dispatch.
 	for w := 0; w < span; w++ {
 		c := &e.counters[w]
 		proposals += int(c.proposals)
@@ -1522,9 +1434,10 @@ func (e *Engine) phaseScatter(w, lo, hi int) {
 // picks among its inbox exactly as the sequential core does, drawing only
 // from its own rngs[v] stream, and records the winner in e.chosen. Every v
 // in the chunk gets a chosen entry (noPartner for non-receivers) so
-// phasePartner can test chosen[t] for any target. Traced runs also emit the
-// accept, contention-reject, and connect events here, into the worker's
-// private buffer, in the exact per-receiver order of the sequential core.
+// phasePartnerExchange can test chosen[t] for any target. Traced runs also
+// emit the accept, contention-reject, and connect events here, into the
+// worker's private buffer, in the exact per-receiver order of the
+// sequential core.
 //
 //mtmlint:hotpath
 func (e *Engine) phaseAccept(w, lo, hi int) {
@@ -1596,39 +1509,14 @@ func (e *Engine) phaseAccept(w, lo, hi int) {
 	}
 }
 
-// phasePartner materializes partner and connCount for nodes [lo, hi) from
-// the accept results: a receiver pairs with its chosen sender, a sender
-// pairs with its target iff that target chose it. Each node writes only its
-// own entries, so the symmetric writes of the sequential core become two
-// one-sided reads.
-//
-// Traced runs emit nothing here: the accept phase already emitted the
-// round's accept/reject/connect events.
-//
-//mtmlint:hotpath
-func (e *Engine) phasePartner(w, lo, hi int) {
-	for u := lo; u < hi; u++ {
-		if c := e.chosen[u]; c != noPartner {
-			e.partner[u] = c
-			e.connCount[u]++
-			continue
-		}
-		if t := e.actions[u]; t >= 0 && e.chosen[t] == int32(u) {
-			e.partner[u] = t
-			e.connCount[u]++
-			continue
-		}
-		e.partner[u] = noPartner
-	}
-}
-
 // phaseScanAdvertise is the fused step-1 + step-2 body: one dispatch scans
 // the activity of nodes [lo, hi) into worker w's counter row, then runs the
 // advertise sweep over the same — now cache-warm — chunk, saving a full
 // barrier and a second pass over the chunk every round. Fused rounds are
 // fault-free (New guarantees it), so there is no down-mask to consult. The
 // two sweeps are the bodies of phaseActiveScan and phaseAdvertise verbatim;
-// those remain the unfused (faulted/spawn) phases. Profiled runs self-time
+// those remain the unfused phases for faulted and sequentially traced
+// rounds, which run work between the two. Profiled runs self-time
 // the sweeps so busy attribution stays on the constituent phases; the
 // dispatch charges its wall time to obs.PhaseScanAdvertise.
 //
@@ -1678,9 +1566,11 @@ func (e *Engine) phaseScanAdvertise(w, lo, hi int) {
 	}
 }
 
-// phasePartnerExchange is the fused step-4b + step-5 body: one dispatch
-// materializes partners for nodes [lo, hi) (phasePartner's body verbatim),
-// then exchanges over the chunk's pairs (phaseExchange's body verbatim).
+// phasePartnerExchange is the pool's step-4b + step-5 body: one dispatch
+// materializes partners for nodes [lo, hi) from the accept results — a
+// receiver pairs with its chosen sender, a sender pairs with its target iff
+// that target chose it, so each node writes only its own entries — then
+// exchanges over the chunk's pairs (phaseExchange's body verbatim).
 // The fusion is race-free without a barrier in between because the exchange
 // sweep reads only partner entries its own partner sweep wrote — a pair is
 // handled by the worker owning its smaller endpoint, never by reading the
@@ -1738,23 +1628,6 @@ func (e *Engine) phasePartnerExchange(w, lo, hi int) {
 	}
 }
 
-// emitConnections invokes the OnConnections hook with the round's
-// established pairs as (smaller, larger) node ids in ascending order. No-op
-// without the hook. The hook must observe the pair list before any exchange
-// runs, which is why New disables partner/exchange fusion when it is set.
-func (e *Engine) emitConnections(r int) {
-	if e.cfg.OnConnections == nil {
-		return
-	}
-	e.pairScratch = e.pairScratch[:0]
-	for u := 0; u < e.n; u++ {
-		if v := e.partner[u]; v != noPartner && int(v) > u {
-			e.pairScratch = append(e.pairScratch, [2]int32{int32(u), v})
-		}
-	}
-	e.cfg.OnConnections(r, e.pairScratch)
-}
-
 // classicalFinish completes a round under classical telephone semantics:
 // every proposal is answered (receivers serve unboundedly many incoming
 // connections, and senders can also be called). Exchanges run sequentially
@@ -1770,9 +1643,6 @@ func (e *Engine) classicalFinish(r int, g *graph.Graph, act []bool, activeCount 
 	connections := 0
 	proposals := 0
 	sink := e.cfg.Sink
-	if e.cfg.OnConnections != nil {
-		e.pairScratch = e.pairScratch[:0]
-	}
 	t0 := e.profStart()
 	for u := 0; u < e.n; u++ {
 		v := e.actions[u]
@@ -1797,9 +1667,6 @@ func (e *Engine) classicalFinish(r int, g *graph.Graph, act []bool, activeCount 
 		connections++
 		e.connCount[u]++
 		e.connCount[v]++
-		if e.cfg.OnConnections != nil {
-			e.pairScratch = append(e.pairScratch, [2]int32{int32(u), v})
-		}
 		if sink != nil {
 			sink.Event(obs.Event{Type: obs.TypeAccept, Round: r, Node: v, Peer: int32(u)})
 			lo, hi := int32(u), v
@@ -1823,13 +1690,6 @@ func (e *Engine) classicalFinish(r int, g *graph.Graph, act []bool, activeCount 
 	}
 	e.profEnd(obs.PhaseExchange, t0)
 
-	// The callback fires after the loop (unlike the main path's
-	// pre-exchange call) so fault-dropped proposals are excluded; it still
-	// observes the same pairs-in-sender-order contract.
-	if e.cfg.OnConnections != nil {
-		e.cfg.OnConnections(r, e.pairScratch)
-	}
-
 	e.parallelFor(obs.PhaseEndRound, e.phEndRound)
 	e.flushWorkerBufs()
 	if sink != nil {
@@ -1847,32 +1707,22 @@ func (e *Engine) checkMessage(u int, m Message) {
 	}
 }
 
-// Dispatch gate floors, benchmark-derived per core (see DESIGN §14 for the
-// crossover measurement; the rounds benchmark tier re-measures them).
-// Below the floor a parallel dispatch costs more than the chunked sweep
-// saves, so parallelFor runs the phase inline.
-const (
-	// spawnDispatchFloor is the historical gate of the goroutine-spawning
-	// core (DispatchSpawn): ~9 dispatches per round at `go func` × workers
-	// + WaitGroup each (≈3.7 kB and tens of µs of scheduler work per round
-	// at 8 workers) need chunks of at least a few hundred nodes to
-	// amortize.
-	spawnDispatchFloor = 256
-	// poolDispatchFloor is the pool core's gate. A pool dispatch is one
-	// atomic publish + wake (~1µs end to end at 8 workers), an order of
-	// magnitude cheaper than a spawn dispatch, but per-phase chunk work is
-	// only ~100ns/node — below about a thousand nodes per phase even an
-	// ideal speedup cannot recover ~7 wake/join barriers per round.
-	poolDispatchFloor = 1024
-)
+// poolDispatchFloor is the node count below which the engine runs every
+// phase inline instead of starting its worker pool (see DESIGN §14 for the
+// crossover measurement; the rounds benchmark tier re-measures it). A pool
+// dispatch is one atomic publish + wake (~1µs end to end at 8 workers), but
+// per-phase chunk work is only ~100ns/node — below about a thousand nodes
+// per phase even an ideal speedup cannot recover ~7 wake/join barriers per
+// round.
+const poolDispatchFloor = 1024
 
 // spanWorkers reports how many worker indices parallelFor actually
 // dispatches — the number of counter/histogram rows holding fresh data.
-// It is 1 whenever parallelFor takes its inline path.
+// It is 1 whenever the engine runs inline.
 //
 //mtmlint:hotpath
 func (e *Engine) spanWorkers() int {
-	if !e.parExec {
+	if e.pool == nil {
 		return 1
 	}
 	return e.workers
@@ -1880,16 +1730,11 @@ func (e *Engine) spanWorkers() int {
 
 // parallelFor runs fn over [0, n) split at the degree-weighted boundaries in
 // e.chunks, passing each chunk its worker index w (for per-worker scratch).
-// Worker 0 runs inline on the caller; every worker index is dispatched even
-// when its chunk is empty, so per-worker counter and histogram rows are
-// freshly written on every call. Below the dispatch gate (Workers == 1, a
-// node count under the core's floor, or DispatchAuto on a single-P host) it
-// runs inline with w = 0 and allocates nothing.
-//
-// Parallel dispatches go to the persistent worker pool — one atomic publish
-// plus wake, zero allocations, certified on the hot path — except in
-// DispatchSpawn mode, which keeps the historical per-phase goroutine spawn
-// as the differential baseline.
+// On the pool, worker 0 runs inline on the caller and every worker index is
+// dispatched even when its chunk is empty, so per-worker counter and
+// histogram rows are freshly written on every call; a dispatch is one
+// atomic publish plus wake and allocates nothing. Without a pool it runs
+// fn inline with w = 0.
 //
 // ph names the phase for the profiler: profiled runs record the phase's wall
 // time and each worker's busy time (the per-phase imbalance in the
@@ -1897,7 +1742,7 @@ func (e *Engine) spanWorkers() int {
 //
 //mtmlint:hotpath
 func (e *Engine) parallelFor(ph obs.Phase, fn func(w, lo, hi int)) {
-	if !e.parExec {
+	if e.pool == nil {
 		if e.prof == nil {
 			fn(0, 0, e.n)
 			return
@@ -1907,47 +1752,13 @@ func (e *Engine) parallelFor(ph obs.Phase, fn func(w, lo, hi int)) {
 		e.prof.AddSeq(ph, e.prof.Clock()-t0)
 		return
 	}
-	if e.pool != nil {
-		if e.prof == nil {
-			e.pool.dispatch(ph, fn, e.chunks, nil, false)
-			return
-		}
-		t0 := e.prof.Clock()
-		e.pool.dispatch(ph, fn, e.chunks, e.prof, false)
-		e.prof.AddWall(ph, e.prof.Clock()-t0)
-		return
-	}
-	//mtmlint:hotpath-end goroutine dispatch below is the legacy DispatchSpawn core, kept as the differential baseline; the pinned zero-alloc configurations dispatch inline or on the pool above
 	if e.prof == nil {
-		var wg sync.WaitGroup
-		for w := 1; w < e.workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				fn(w, e.chunks[w], e.chunks[w+1])
-			}(w)
-		}
-		fn(0, e.chunks[0], e.chunks[1])
-		wg.Wait()
+		e.pool.dispatch(ph, fn, e.chunks, nil, false)
 		return
 	}
-	prof := e.prof
-	t0 := prof.Clock()
-	var wg sync.WaitGroup
-	for w := 1; w < e.workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			s := prof.Clock()
-			fn(w, e.chunks[w], e.chunks[w+1])
-			prof.AddBusy(ph, w, prof.Clock()-s)
-		}(w)
-	}
-	s := prof.Clock()
-	fn(0, e.chunks[0], e.chunks[1])
-	prof.AddBusy(ph, 0, prof.Clock()-s)
-	wg.Wait()
-	prof.AddWall(ph, prof.Clock()-t0)
+	t0 := e.prof.Clock()
+	e.pool.dispatch(ph, fn, e.chunks, e.prof, false)
+	e.prof.AddWall(ph, e.prof.Clock()-t0)
 }
 
 // parallelForFused is parallelFor for fused phase bodies, which self-time
@@ -1957,7 +1768,7 @@ func (e *Engine) parallelFor(ph obs.Phase, fn func(w, lo, hi int)) {
 //
 //mtmlint:hotpath
 func (e *Engine) parallelForFused(ph obs.Phase, fn func(w, lo, hi int)) {
-	if !e.parExec {
+	if e.pool == nil {
 		if e.prof == nil {
 			fn(0, 0, e.n)
 			return
@@ -1967,8 +1778,6 @@ func (e *Engine) parallelForFused(ph obs.Phase, fn func(w, lo, hi int)) {
 		e.prof.AddWall(ph, e.prof.Clock()-t0)
 		return
 	}
-	// Fused bodies never run in DispatchSpawn mode (New disables fusion
-	// there), so a parallel fused dispatch always has the pool.
 	if e.prof == nil {
 		e.pool.dispatch(ph, fn, e.chunks, nil, true)
 		return

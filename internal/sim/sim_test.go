@@ -139,18 +139,22 @@ func TestSendersNeverAccept(t *testing.T) {
 	}
 }
 
+// TestDeterminismAcrossWorkerCounts compares the inline engine against the
+// pool. n=512 is under the pool's dispatch floor, so the 8-worker run goes
+// through sim.WithPool to reach the pool on any host.
 func TestDeterminismAcrossWorkerCounts(t *testing.T) {
 	f := gen.RandomRegular(512, 6, 9)
 	run := func(workers int) (uint64, sim.Result) {
 		sched := dyngraph.NewPermuted(f, 2, 11)
 		uids := core.UniqueUIDs(512, 77)
 		protocols := core.NewBlindGossipNetwork(uids)
-		eng, err := sim.New(sched, protocols, sim.Config{
+		eng, err := sim.New(sched, protocols, sim.WithPool(sim.Config{
 			Seed: 5, TagBits: 0, Workers: workers, MaxRounds: 200_000,
-		})
+		}))
 		if err != nil {
 			t.Fatal(err)
 		}
+		defer eng.Close()
 		res, err := eng.Run(sim.AllLeadersEqual)
 		if err != nil {
 			t.Fatal(err)
@@ -166,22 +170,24 @@ func TestDeterminismAcrossWorkerCounts(t *testing.T) {
 
 // TestRaceSmokeParallelElection extends the divergence check above into a
 // race-detector smoke test: it runs a full election with every available
-// worker — large enough (n >= 256) that parallelFor actually spawns
-// goroutines — and asserts bit-identical results against the sequential
-// engine. Under `go test -race` (see the Makefile's race target and CI)
-// this exercises all four parallel bulk-synchronous steps of a round.
+// worker (at least two) on the worker pool — forced through sim.WithPool,
+// since n=600 is under the pool's dispatch floor — and asserts
+// bit-identical results against the sequential engine. Under `go test
+// -race` (see the Makefile's race target and CI) this exercises every
+// parallel phase of a round.
 func TestRaceSmokeParallelElection(t *testing.T) {
 	f := gen.RandomRegular(600, 6, 21)
 	run := func(workers int) (uint64, sim.Result) {
 		sched := dyngraph.NewPermuted(f, 2, 13)
 		uids := core.UniqueUIDs(600, 33)
 		protocols := core.NewBlindGossipNetwork(uids)
-		eng, err := sim.New(sched, protocols, sim.Config{
+		eng, err := sim.New(sched, protocols, sim.WithPool(sim.Config{
 			Seed: 9, Workers: workers, MaxRounds: 100_000,
-		})
+		}))
 		if err != nil {
 			t.Fatal(err)
 		}
+		defer eng.Close()
 		res, err := eng.Run(sim.AllLeadersEqual)
 		if err != nil {
 			t.Fatal(err)
@@ -189,9 +195,9 @@ func TestRaceSmokeParallelElection(t *testing.T) {
 		return protocols[0].Leader(), res
 	}
 	wantLeader, wantRes := run(1)
-	gotLeader, gotRes := run(runtime.GOMAXPROCS(0))
+	gotLeader, gotRes := run(max(2, runtime.GOMAXPROCS(0)))
 	if gotLeader != wantLeader || gotRes != wantRes {
-		t.Fatalf("Workers=GOMAXPROCS diverged from Workers=1: (%#x, %+v) vs (%#x, %+v)",
+		t.Fatalf("Workers=max(2, GOMAXPROCS) diverged from Workers=1: (%#x, %+v) vs (%#x, %+v)",
 			gotLeader, gotRes, wantLeader, wantRes)
 	}
 }

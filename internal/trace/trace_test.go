@@ -4,7 +4,7 @@ import (
 	"strings"
 	"testing"
 
-	"mobiletel/internal/sim"
+	"mobiletel/internal/obs"
 )
 
 func TestTableText(t *testing.T) {
@@ -104,29 +104,52 @@ func TestColumnAlignment(t *testing.T) {
 	}
 }
 
-func TestRecorder(t *testing.T) {
-	r := &Recorder{}
-	r.Observe(sim.RoundStats{Round: 1, Connections: 3})
-	r.Observe(sim.RoundStats{Round: 2, Connections: 5})
-	if r.TotalConnections() != 8 {
-		t.Fatalf("total = %d", r.TotalConnections())
+// recordRounds folds synthetic rounds (proposals, accepts, contention
+// rejects; every accept connects) into obs.Metrics, the per-round recorder
+// whose curves the sparklines render.
+func recordRounds(rounds ...[3]int) obs.Summary {
+	m := obs.NewMetrics()
+	m.Begin(obs.Header{N: 2})
+	for i, rd := range rounds {
+		r := i + 1
+		m.Event(obs.Event{Type: obs.TypeRoundStart, Round: r})
+		for j := 0; j < rd[0]; j++ {
+			m.Event(obs.Event{Type: obs.TypePropose, Round: r, Node: 0, Peer: 1})
+		}
+		for j := 0; j < rd[1]; j++ {
+			m.Event(obs.Event{Type: obs.TypeAccept, Round: r, Node: 1, Peer: 0})
+			m.Event(obs.Event{Type: obs.TypeConnect, Round: r, Node: 0, Peer: 1})
+		}
+		for j := 0; j < rd[2]; j++ {
+			m.Event(obs.Event{Type: obs.TypeReject, Kind: obs.KindContention, Round: r, Node: 1, Peer: 0})
+		}
+		m.Event(obs.Event{Type: obs.TypeRoundEnd, Round: r})
 	}
-	curve := r.ConnectionsCurve()
+	m.End()
+	return m.Summary()
+}
+
+func TestRecorder(t *testing.T) {
+	s := recordRounds([3]int{3, 3, 0}, [3]int{5, 5, 0})
+	if s.Connections != 8 {
+		t.Fatalf("total = %d", s.Connections)
+	}
+	curve := s.ConnectionsCurve
 	if len(curve) != 2 || curve[0] != 3 || curve[1] != 5 {
 		t.Fatalf("curve = %v", curve)
+	}
+	if got := Sparkline(curve); got != "▅█" {
+		t.Fatalf("sparkline = %q", got)
 	}
 }
 
 func TestRecorderAcceptanceCurves(t *testing.T) {
-	r := &Recorder{}
-	r.Observe(sim.RoundStats{Round: 1, Proposals: 8, Accepts: 4, Rejects: 2, Connections: 4})
-	r.Observe(sim.RoundStats{Round: 2, Proposals: 0, Accepts: 0, Connections: 0})
-	r.Observe(sim.RoundStats{Round: 3, Proposals: 5, Accepts: 5, Connections: 5})
-	accepts := r.AcceptsCurve()
+	s := recordRounds([3]int{8, 4, 2}, [3]int{0, 0, 0}, [3]int{5, 5, 0})
+	accepts := s.ConnectionsCurve
 	if len(accepts) != 3 || accepts[0] != 4 || accepts[1] != 0 || accepts[2] != 5 {
 		t.Fatalf("accepts curve = %v", accepts)
 	}
-	rate := r.AcceptanceRateCurve()
+	rate := s.AcceptanceCurve
 	if len(rate) != 3 || rate[0] != 0.5 || rate[2] != 1 {
 		t.Fatalf("acceptance rate curve = %v", rate)
 	}

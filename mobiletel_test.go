@@ -329,21 +329,28 @@ func TestBarabasiAlbertTopology(t *testing.T) {
 	}
 }
 
-func TestElectLeaderRecording(t *testing.T) {
-	var buf strings.Builder
-	topo := mobiletel.Cycle(12)
-	res, err := mobiletel.ElectLeader(mobiletel.Static(topo), mobiletel.BlindGossip,
-		mobiletel.Options{Seed: 3, RecordTo: &buf})
-	if err != nil {
-		t.Fatal(err)
+// TestElectLeaderTrace checks the facade's TraceTo output: an mtmtrace/v1
+// header naming the schedule, one connect event per connection the result
+// reports, and byte-identical bytes when the same seed runs again.
+func TestElectLeaderTrace(t *testing.T) {
+	run := func() (mobiletel.ElectionResult, string) {
+		var buf strings.Builder
+		res, err := mobiletel.ElectLeader(mobiletel.Static(mobiletel.Cycle(12)), mobiletel.BlindGossip,
+			mobiletel.Options{Seed: 3, TraceTo: &buf})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, buf.String()
 	}
-	out := buf.String()
-	if !strings.Contains(out, "\"schedule\":\"static/cycle\"") {
-		t.Fatalf("recording header missing: %q", out[:min(120, len(out))])
+	res, out := run()
+	header, _, _ := strings.Cut(out, "\n")
+	if !strings.Contains(header, `"schema":"mtmtrace/v1"`) || !strings.Contains(header, `"schedule":"static/cycle"`) {
+		t.Fatalf("trace header = %q", header)
 	}
-	// One header line plus one line per round.
-	lines := strings.Count(strings.TrimSpace(out), "\n") + 1
-	if lines != res.Rounds+1 {
-		t.Fatalf("recording has %d lines, want %d", lines, res.Rounds+1)
+	if connects := strings.Count(out, `{"t":"connect"`); int64(connects) != res.Connections {
+		t.Fatalf("trace has %d connect events, result reports %d connections", connects, res.Connections)
+	}
+	if _, again := run(); again != out {
+		t.Fatal("same seed produced a different trace")
 	}
 }
