@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build vet test race race-smoke lint lint-baseline baseline-check check bench bench-smoke electbench-test trace-smoke fault-smoke fault-par-smoke prof-smoke
+.PHONY: build vet test race race-smoke lint lint-baseline baseline-check check bench bench-smoke electbench-test digest-smoke trace-smoke fault-smoke fault-par-smoke prof-smoke
 
 build:
 	$(GO) build ./...
@@ -65,6 +65,23 @@ bench-smoke:
 # is what catches a facade or engine API change that breaks it.
 electbench-test:
 	cd electbench && $(GO) test ./...
+
+# digest-smoke mirrors the CI digest-smoke step: one full input cycle of the
+# end-to-end election benchmark's elect and sweep workloads at seed 1 must
+# reproduce the pinned result digests, so a hot-path rewrite that changes
+# any election's leader or round count, or any experiment table, fails
+# here. A deliberate change of results must update the pins in the same
+# commit.
+ELECT_DIGEST = a8472a08c0799a8d
+SWEEP_DIGEST = 783d3206b01e8a2b
+digest-smoke:
+	@for pin in elect:$(ELECT_DIGEST) sweep:$(SWEEP_DIGEST); do \
+	  w=$${pin%%:*}; want=$${pin#*:}; \
+	  line=$$(bash electbench/run.sh --workload $$w --seed 1 --seconds 1 --trace 0 | grep '^workload ') || exit 1; \
+	  echo "$$line"; \
+	  echo "$$line" | grep -q " digest $$want attempted [0-9]* failed 0$$" || \
+	    { echo "digest-smoke: $$w digest or failure count differs from the pinned $$want" >&2; exit 1; }; \
+	done
 
 # fault-smoke mirrors the CI fault-smoke job, the crash-safe harness
 # contract end to end: (1) a checkpointed sweep killed mid-run (-die-after)

@@ -114,18 +114,16 @@ func (a *Averager) Decide(ctx *sim.Context) (int32, bool) {
 // send their pair and both replace their state with the average, conserving
 // total mass exactly up to floating-point rounding.
 func (a *Averager) Outgoing(*sim.Context, int32) sim.Message {
-	return sim.Message{
-		UIDs: []uint64{math.Float64bits(a.value), math.Float64bits(a.weight)},
-	}
+	return sim.Message{}.WithUID(math.Float64bits(a.value)).WithUID(math.Float64bits(a.weight))
 }
 
 // Deliver averages the peer's mass into this node.
 func (a *Averager) Deliver(_ *sim.Context, _ int32, msg sim.Message) {
-	if len(msg.UIDs) != 2 {
+	if msg.NUIDs() != 2 {
 		return
 	}
-	pv := math.Float64frombits(msg.UIDs[0])
-	pw := math.Float64frombits(msg.UIDs[1])
+	pv := math.Float64frombits(msg.UID(0))
+	pw := math.Float64frombits(msg.UID(1))
 	a.value = (a.value + pv) / 2
 	a.weight = (a.weight + pw) / 2
 }

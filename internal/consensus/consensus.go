@@ -82,7 +82,7 @@ func (p *Proposer) Decide(ctx *sim.Context) (int32, bool) {
 		return 0, false
 	}
 	want := encodeTag(p.position, 1)
-	target, ok := ctx.RandomNeighborMatching(func(_ int32, tag uint64) bool { return tag == want })
+	target, ok := ctx.RandomNeighborTagged(want)
 	if !ok {
 		return 0, false
 	}
@@ -92,19 +92,19 @@ func (p *Proposer) Decide(ctx *sim.Context) (int32, bool) {
 // Outgoing sends (pair, proposal-of-pair-owner). The UID and the value are
 // the two UID-sized payload slots; the tag travels in the auxiliary bits.
 func (p *Proposer) Outgoing(*sim.Context, int32) sim.Message {
-	return sim.Message{UIDs: []uint64{p.best.UID, p.value}, Aux: p.best.Tag}
+	return sim.Message{Aux: p.best.Tag}.WithUID(p.best.UID).WithUID(p.value)
 }
 
 // Deliver adopts the peer's pair and value together when the pair is
 // smaller.
 func (p *Proposer) Deliver(_ *sim.Context, _ int32, msg sim.Message) {
-	if len(msg.UIDs) != 2 {
+	if msg.NUIDs() != 2 {
 		return
 	}
-	got := core.IDPair{UID: msg.UIDs[0], Tag: msg.Aux}
+	got := core.IDPair{UID: msg.UID(0), Tag: msg.Aux}
 	if got.Less(p.best) {
 		p.best = got
-		p.value = msg.UIDs[1]
+		p.value = msg.UID(1)
 	}
 }
 

@@ -72,6 +72,8 @@ func decodeTag(tag uint64) (position int, bit uint64) {
 
 // Advertise starts a new local group when due (picking a fresh random
 // position) and returns the encoded (position, bit) advertisement.
+//
+//mtmlint:hotpath
 func (p *AsyncBitConv) Advertise(ctx *sim.Context) uint64 {
 	if p.localRound%p.params.GroupLen == 0 {
 		next := 1 + ctx.RNG.Intn(p.params.K)
@@ -85,12 +87,14 @@ func (p *AsyncBitConv) Advertise(ctx *sim.Context) uint64 {
 
 // Decide: 0-bit advertisers propose to a uniformly random neighbor
 // advertising (same position, bit 1); everyone else receives.
+//
+//mtmlint:hotpath
 func (p *AsyncBitConv) Decide(ctx *sim.Context) (int32, bool) {
 	if p.bitValue() != 0 {
 		return 0, false
 	}
 	want := encodeTag(p.position, 1)
-	target, ok := ctx.RandomNeighborMatching(func(_ int32, tag uint64) bool { return tag == want })
+	target, ok := ctx.RandomNeighborTagged(want)
 	if !ok {
 		return 0, false
 	}
@@ -98,16 +102,20 @@ func (p *AsyncBitConv) Decide(ctx *sim.Context) (int32, bool) {
 }
 
 // Outgoing sends the node's current smallest ID pair.
+//
+//mtmlint:hotpath
 func (p *AsyncBitConv) Outgoing(*sim.Context, int32) sim.Message {
-	return sim.Message{UIDs: []uint64{p.best.UID}, Aux: p.best.Tag}
+	return sim.Message{Aux: p.best.Tag}.WithUID(p.best.UID)
 }
 
 // Deliver adopts the peer's pair immediately if smaller.
+//
+//mtmlint:hotpath
 func (p *AsyncBitConv) Deliver(ctx *sim.Context, _ int32, msg sim.Message) {
-	if len(msg.UIDs) != 1 {
+	if msg.NUIDs() != 1 {
 		return
 	}
-	got := IDPair{UID: msg.UIDs[0], Tag: msg.Aux}
+	got := IDPair{UID: msg.UID(0), Tag: msg.Aux}
 	if got.Less(p.best) {
 		if got.UID != p.best.UID {
 			ctx.EmitTransition(obs.KindLeader, p.best.UID, got.UID)
@@ -117,6 +125,8 @@ func (p *AsyncBitConv) Deliver(ctx *sim.Context, _ int32, msg sim.Message) {
 }
 
 // EndRound advances the local round counter (activation-relative time).
+//
+//mtmlint:hotpath
 func (p *AsyncBitConv) EndRound(*sim.Context) { p.localRound++ }
 
 // Leader returns the UID of the node's current smallest ID pair.

@@ -106,6 +106,8 @@ func (p *BitConv) groupBit(group int) uint64 {
 
 // Advertise performs the phase-boundary adoption (the first event of a
 // round) and returns the group's tag bit.
+//
+//mtmlint:hotpath
 func (p *BitConv) Advertise(ctx *sim.Context) uint64 {
 	group, phaseStart := p.phasePosition(ctx.Round)
 	if phaseStart && p.pending != p.best {
@@ -123,13 +125,17 @@ func (p *BitConv) Advertise(ctx *sim.Context) uint64 {
 }
 
 // Decide runs the PPUSH step: 0-bit nodes propose to a uniformly random
-// neighbor advertising 1; everyone else receives.
+// neighbor advertising 1; everyone else receives. The bit is the one this
+// round's Advertise just published (the engine always advertises before it
+// decides, and nothing between the two changes best), so Decide reads
+// lastBit instead of recomputing the phase position.
+//
+//mtmlint:hotpath
 func (p *BitConv) Decide(ctx *sim.Context) (int32, bool) {
-	group, _ := p.phasePosition(ctx.Round)
-	if p.groupBit(group) != 0 {
+	if p.lastBit != 0 {
 		return 0, false
 	}
-	target, ok := ctx.RandomNeighborMatching(func(_ int32, tag uint64) bool { return tag == 1 })
+	target, ok := ctx.RandomNeighborTagged(1)
 	if !ok {
 		return 0, false
 	}
@@ -137,22 +143,28 @@ func (p *BitConv) Decide(ctx *sim.Context) (int32, bool) {
 }
 
 // Outgoing sends the node's current smallest ID pair.
+//
+//mtmlint:hotpath
 func (p *BitConv) Outgoing(*sim.Context, int32) sim.Message {
-	return sim.Message{UIDs: []uint64{p.best.UID}, Aux: p.best.Tag}
+	return sim.Message{Aux: p.best.Tag}.WithUID(p.best.UID)
 }
 
 // Deliver records the peer's pair into the pending minimum.
+//
+//mtmlint:hotpath
 func (p *BitConv) Deliver(_ *sim.Context, _ int32, msg sim.Message) {
-	if len(msg.UIDs) != 1 {
+	if msg.NUIDs() != 1 {
 		return
 	}
-	got := IDPair{UID: msg.UIDs[0], Tag: msg.Aux}
+	got := IDPair{UID: msg.UID(0), Tag: msg.Aux}
 	if got.Less(p.pending) {
 		p.pending = got
 	}
 }
 
 // EndRound is a no-op; adoption happens at phase boundaries in Advertise.
+//
+//mtmlint:hotpath
 func (p *BitConv) EndRound(*sim.Context) {}
 
 // Leader returns the leader variable, updated at phase boundaries.

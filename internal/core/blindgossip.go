@@ -16,12 +16,6 @@ import (
 type BlindGossip struct {
 	uid  uint64
 	best uint64
-	// buf backs the UID slice of outgoing messages so the steady-state round
-	// loop allocates nothing. Safe to reuse: a node has at most one MTM
-	// connection per round, and in classical mode the engine delivers each
-	// message before asking the same protocol for the next one; receivers
-	// (Deliver) only read values out of the slice.
-	buf [1]uint64
 }
 
 var (
@@ -36,9 +30,13 @@ func NewBlindGossip(uid uint64) *BlindGossip {
 }
 
 // Advertise returns 0: blind gossip uses no advertisement bits (b = 0).
+//
+//mtmlint:hotpath
 func (p *BlindGossip) Advertise(*sim.Context) uint64 { return 0 }
 
 // Decide flips a fair coin; senders target a uniformly random neighbor.
+//
+//mtmlint:hotpath
 func (p *BlindGossip) Decide(ctx *sim.Context) (int32, bool) {
 	if ctx.RNG.Bool() {
 		return 0, false // receive
@@ -51,20 +49,25 @@ func (p *BlindGossip) Decide(ctx *sim.Context) (int32, bool) {
 }
 
 // Outgoing sends the smallest UID seen so far.
+//
+//mtmlint:hotpath
 func (p *BlindGossip) Outgoing(*sim.Context, int32) sim.Message {
-	p.buf[0] = p.best
-	return sim.Message{UIDs: p.buf[:1]}
+	return sim.Message{}.WithUID(p.best)
 }
 
 // Deliver adopts the peer's UID if smaller.
+//
+//mtmlint:hotpath
 func (p *BlindGossip) Deliver(ctx *sim.Context, _ int32, msg sim.Message) {
-	if len(msg.UIDs) == 1 && msg.UIDs[0] < p.best {
-		ctx.EmitTransition(obs.KindLeader, p.best, msg.UIDs[0])
-		p.best = msg.UIDs[0]
+	if msg.NUIDs() == 1 && msg.UID(0) < p.best {
+		ctx.EmitTransition(obs.KindLeader, p.best, msg.UID(0))
+		p.best = msg.UID(0)
 	}
 }
 
 // EndRound is a no-op: state updates happen on delivery.
+//
+//mtmlint:hotpath
 func (p *BlindGossip) EndRound(*sim.Context) {}
 
 // Leader returns the current leader variable: the smallest UID seen.

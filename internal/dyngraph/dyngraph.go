@@ -30,6 +30,11 @@ type Schedule interface {
 	// GraphAt returns the topology for round r >= 1. Implementations must be
 	// deterministic in r and must respect Tau: GraphAt(r) == GraphAt(r') for
 	// any r, r' in the same epoch of Tau() rounds.
+	//
+	// A returned graph stays unchanged while GraphAt serves one other epoch,
+	// so a caller may hold the previous epoch's graph across a boundary.
+	// Schedules may recycle its storage after that (Permuted does); a
+	// caller that keeps a graph longer must copy it.
 	GraphAt(r int) *graph.Graph
 
 	// Tau returns the guaranteed stability factor τ >= 1. Infinity (a never-
@@ -156,6 +161,13 @@ func (s *Regenerate) Name() string   { return fmt.Sprintf("regen/%s/tau=%d", s.n
 // minimum UID is relocated every epoch, so no algorithm can rely on
 // persistent neighborhoods — while Δ and α stay exactly those of the base
 // family in every round.
+//
+// Permuted relabels into two recycled graphs, alternating between them, so
+// an epoch boundary allocates nothing. A graph returned by GraphAt therefore
+// stays unchanged while the next epoch is served, and is overwritten when
+// the epoch after that is built. Consumers that call GraphAt every round
+// and keep at most the previous round's graph — Validate and sim.Engine —
+// satisfy this; one that holds a graph longer must Relabel its own copy.
 type Permuted struct {
 	base gen.Family
 	seed uint64
@@ -164,6 +176,8 @@ type Permuted struct {
 	rng     xrand.RNG
 	perm    []int // per-epoch permutation scratch, reused across epochs
 	scratch graph.RelabelScratch
+	bufs    [2]*graph.Graph // the recycled relabel destinations
+	next    int             // index into bufs of the next epoch's destination
 
 	cachedEpoch int
 	cached      *graph.Graph
@@ -182,16 +196,16 @@ func NewPermuted(base gen.Family, tau int, seed uint64) *Permuted {
 
 // build materializes epoch e's relabeling as a permutation view over the
 // immutable base CSR: an O(n+m) RelabelInto with no Builder and no sort,
-// with the inverse-permutation and cursor scratch reused across epochs so a
-// 1M-node epoch boundary allocates only the result arrays. The result is
+// into the buffer not holding the currently served graph. The result is
 // bit-identical (graph.Equal) to rebuilding the permuted edge set from
 // scratch; TestPermutedRelabelMatchesBuilder pins this for 100 epochs.
-// The result's own arrays are fresh per epoch on purpose — consumers like
-// Validate hold the previous epoch's graph across the boundary.
 func (s *Permuted) build(e int) *graph.Graph {
 	s.rng.Reseed(s.seed, uint64(e), 0x9e) // same stream as Derive(seed, e, 0x9e)
 	s.rng.PermInto(s.perm)
-	return s.base.Graph.RelabelInto(s.perm, &s.scratch)
+	g := s.base.Graph.RelabelInto(s.perm, &s.scratch, s.bufs[s.next])
+	s.bufs[s.next] = g
+	s.next ^= 1
+	return g
 }
 
 func (s *Permuted) GraphAt(r int) *graph.Graph {

@@ -283,14 +283,55 @@ func TestPermutedRelabelMatchesBuilder(t *testing.T) {
 		s := NewPermuted(fam, 1, 99)
 		for e := 0; e < 100; e++ {
 			got := s.GraphAt(e + 1) // tau=1: round r is epoch r-1
-			perm := xrand.Derive(uint64(99), uint64(e), 0x9e).Perm(fam.N())
-			b := graph.NewBuilder(fam.N())
-			fam.Graph.Edges(func(u, v int) { b.AddEdge(perm[u], perm[v]) })
-			want := b.MustBuild()
-			if !got.Equal(want) {
+			if !got.Equal(permutedBuilderGraph(fam, 99, e)) {
 				t.Fatalf("%s epoch %d: relabel view differs from builder-built graph", fam.Name, e)
 			}
 		}
+	}
+}
+
+// permutedBuilderGraph rebuilds Permuted epoch e through a Builder, the
+// construction TestPermutedRelabelMatchesBuilder checks the relabel view
+// against.
+func permutedBuilderGraph(fam gen.Family, seed uint64, e int) *graph.Graph {
+	perm := xrand.Derive(seed, uint64(e), 0x9e).Perm(fam.N())
+	b := graph.NewBuilder(fam.N())
+	fam.Graph.Edges(func(u, v int) { b.AddEdge(perm[u], perm[v]) })
+	return b.MustBuild()
+}
+
+// TestPermutedRecycledBuffersLifetime pins the lifetime Permuted promises
+// for its two recycled relabel buffers at τ=1: the epoch-e graph stays equal
+// to a fresh Relabel while epoch e+1 is served, consecutive epochs get
+// different graphs (the engine detects epoch changes by pointer), Validate
+// passes, out-of-order queries still match the builder-built graphs, and
+// once both buffers exist an epoch boundary allocates nothing.
+func TestPermutedRecycledBuffersLifetime(t *testing.T) {
+	const seed = 99
+	fam := gen.SqrtLineOfStars(6)
+	s := NewPermuted(fam, 1, seed)
+	for e := 0; e < 50; e++ {
+		cur := s.GraphAt(e + 1) // tau=1: round r is epoch r-1
+		want := fam.Graph.Relabel(xrand.Derive(seed, uint64(e), 0x9e).Perm(fam.N()))
+		next := s.GraphAt(e + 2)
+		if next == cur {
+			t.Fatalf("epochs %d and %d share a graph pointer", e, e+1)
+		}
+		if !cur.Equal(want) {
+			t.Fatalf("epoch %d graph changed while epoch %d was served", e, e+1)
+		}
+	}
+	if err := Validate(NewPermuted(fam, 1, seed), 200); err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range []int{40, 3, 77, 3, 0, 99, 42, 43, 42, 0} {
+		if !s.GraphAt(e + 1).Equal(permutedBuilderGraph(fam, seed, e)) {
+			t.Fatalf("out-of-order epoch %d differs from the builder-built graph", e)
+		}
+	}
+	r := 1000
+	if avg := testing.AllocsPerRun(100, func() { s.GraphAt(r); r++ }); avg != 0 {
+		t.Fatalf("Permuted epoch boundary allocates %v times, want 0", avg)
 	}
 }
 

@@ -94,17 +94,17 @@ func (g *Node) Outgoing(ctx *sim.Context, _ int32) sim.Message {
 			w &= w - 1
 		}
 		idx := word*64 + bits.TrailingZeros64(w)
-		return sim.Message{UIDs: []uint64{uint64(idx)}}
+		return sim.Message{}.WithUID(uint64(idx))
 	}
 	panic("gossip: inconsistent known-count")
 }
 
 // Deliver learns the peer's rumor.
 func (g *Node) Deliver(_ *sim.Context, _ int32, msg sim.Message) {
-	if len(msg.UIDs) != 1 {
+	if msg.NUIDs() != 1 {
 		return
 	}
-	idx := int(msg.UIDs[0])
+	idx := int(msg.UID(0))
 	if idx < 0 || idx >= g.n {
 		panic(fmt.Sprintf("gossip: received rumor index %d outside [0,%d)", idx, g.n))
 	}

@@ -6,7 +6,9 @@
 // α(S).
 //
 // Graphs are immutable once built; use Builder to assemble edge sets and
-// Build to freeze them. Nodes are dense indices 0..n-1 (UIDs live a layer
+// Build to freeze them. The one exception is a graph its owner hands back to
+// RelabelInto as the destination: its storage is recycled for the new
+// relabeling. Nodes are dense indices 0..n-1 (UIDs live a layer
 // above, in the simulator).
 package graph
 
@@ -168,7 +170,7 @@ func (g *Graph) AlphaOf(inSet []bool) float64 {
 // relabeled edge set through a Builder, at a fraction of the cost — this is
 // what lets τ=1 schedules serve a fresh topology every round cheaply.
 func (g *Graph) Relabel(perm []int) *Graph {
-	return g.RelabelInto(perm, &RelabelScratch{})
+	return g.RelabelInto(perm, &RelabelScratch{}, nil)
 }
 
 // RelabelScratch holds the reusable working storage of RelabelInto — the
@@ -190,15 +192,20 @@ func (s *RelabelScratch) grow(n int) {
 	s.cursor = s.cursor[:n]
 }
 
-// RelabelInto is Relabel with caller-owned scratch: only the result graph's
-// own storage (offsets, adj) is freshly allocated, so epoch-driven callers
-// (dyngraph.Permuted at τ=1 rebuilds every round) run in O(n+m) with O(1)
-// transient garbage. The result is still independent of g and of s — the
-// scratch may be reused immediately for the next relabel while earlier
-// results stay live.
-func (g *Graph) RelabelInto(perm []int, s *RelabelScratch) *Graph {
+// RelabelInto is Relabel with caller-owned storage. s holds the working
+// scratch and may be reused immediately for the next relabel. dst, when
+// non-nil, is a graph the caller owns and no longer needs: RelabelInto
+// overwrites it in place, reusing its offsets and adjacency arrays, and
+// returns it. With dst nil the result is freshly allocated. Epoch-driven
+// callers (dyngraph.Permuted at τ=1 rebuilds every round) thus run in
+// O(n+m) with no garbage at all. The result never shares storage with g or
+// s; dst must not be g.
+func (g *Graph) RelabelInto(perm []int, s *RelabelScratch, dst *Graph) *Graph {
 	if len(perm) != g.n {
 		panic(fmt.Sprintf("graph: Relabel permutation length %d != n %d", len(perm), g.n))
+	}
+	if dst == g {
+		panic("graph: RelabelInto destination is the source graph")
 	}
 	s.grow(g.n)
 	inv := s.inv
@@ -211,11 +218,20 @@ func (g *Graph) RelabelInto(perm []int, s *RelabelScratch) *Graph {
 		}
 		inv[p] = int32(u)
 	}
-	offsets := make([]int32, g.n+1)
+	if dst == nil {
+		dst = &Graph{}
+	}
+	if cap(dst.offsets) < g.n+1 {
+		dst.offsets = make([]int32, g.n+1)
+	}
+	if cap(dst.adj) < len(g.adj) {
+		dst.adj = make([]int32, len(g.adj))
+	}
+	offsets, adj := dst.offsets[:g.n+1], dst.adj[:len(g.adj)]
+	offsets[0] = 0
 	for a := 0; a < g.n; a++ {
 		offsets[a+1] = offsets[a] + int32(g.Degree(int(inv[a])))
 	}
-	adj := make([]int32, len(g.adj))
 	cursor := s.cursor
 	copy(cursor, offsets[:g.n])
 	for a := 0; a < g.n; a++ {
@@ -225,7 +241,8 @@ func (g *Graph) RelabelInto(perm []int, s *RelabelScratch) *Graph {
 			cursor[b]++
 		}
 	}
-	return &Graph{offsets: offsets, adj: adj, n: g.n, m: g.m, maxDeg: g.maxDeg}
+	*dst = Graph{offsets: offsets, adj: adj, n: g.n, m: g.m, maxDeg: g.maxDeg}
+	return dst
 }
 
 // BalancedChunks partitions the node range [0, n) into workers contiguous

@@ -364,22 +364,45 @@ func TestRelabelRejectsBadPerm(t *testing.T) {
 	}
 }
 
+// TestRelabelIntoReusesScratchAcrossEpochs relabels 20 epochs through one
+// scratch, alternating a fresh destination (nil) with a recycled one: every
+// result must equal Relabel, a recycled destination must keep its arrays,
+// and no result may share storage with the scratch.
 func TestRelabelIntoReusesScratchAcrossEpochs(t *testing.T) {
 	rng := xrand.Derive(11, 0, 0)
 	g := randomGraph(3, 40, 0.1)
 	var s RelabelScratch
+	var recycled *Graph
 	for epoch := 0; epoch < 20; epoch++ {
 		perm := rng.Perm(g.N())
-		got := g.RelabelInto(perm, &s)
+		var dst *Graph
+		if epoch%2 == 1 {
+			dst = recycled
+		}
+		got := g.RelabelInto(perm, &s, dst)
 		if want := g.Relabel(perm); !got.Equal(want) {
 			t.Fatalf("epoch %d: RelabelInto differs from Relabel", epoch)
 		}
-		// The result must outlive the scratch: mutate it and re-check the
-		// previous epoch's graph would be unaffected (fresh arrays).
-		if got.N() > 0 && &got.offsets[0] == &s.cursor[0] {
+		if dst != nil && (got != dst || &got.offsets[0] != &dst.offsets[0] || &got.adj[0] != &dst.adj[0]) {
+			t.Fatalf("epoch %d: RelabelInto did not recycle its destination", epoch)
+		}
+		if &got.offsets[0] == &s.cursor[0] || &got.offsets[0] == &s.inv[0] {
 			t.Fatal("RelabelInto leaked scratch storage into the result")
 		}
+		recycled = got
 	}
+}
+
+// TestRelabelIntoRejectsSourceAsDestination: relabeling a graph into its
+// own storage would overwrite adjacency lists still being read.
+func TestRelabelIntoRejectsSourceAsDestination(t *testing.T) {
+	g := randomGraph(4, 10, 0.3)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("RelabelInto(…, g) did not panic")
+		}
+	}()
+	g.RelabelInto(xrand.Derive(1, 0, 0).Perm(g.N()), &RelabelScratch{}, g)
 }
 
 func TestBalancedChunksInvariants(t *testing.T) {

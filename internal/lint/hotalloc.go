@@ -30,7 +30,7 @@ import (
 //   - amortized growth: `x = make(...)` or `x = append(x, ...)` guarded by
 //     an enclosing if whose condition measures cap(x) or len(x) — the
 //     inboxTo doubling — and self-append to a struct field or package
-//     variable (high-water-mark scratch such as Context.nbr);
+//     variable (high-water-mark scratch such as obs.WorkerBuf's buffer);
 //   - panic-cold code: allocations inside panic arguments, or in a block
 //     that ends by panicking, never run in the steady state;
 //   - closures passed directly to sort.Search, which is documented
@@ -43,10 +43,13 @@ import (
 // it do not pull their callees into the certification walk. parallelFor's
 // goroutine dispatch sits after one, because the pinned zero-alloc
 // configuration (Workers=1) takes the inline path; stepCore's opt-in
-// invariant audit (Config.Check) sits after another. Dynamic calls — interface methods, func-typed fields
-// and parameters — are boundaries this analyzer cannot see across; the
-// protocol callbacks behind them are certified separately (their
-// implementations carry their own hotpath roots or runtime pins).
+// invariant audit (Config.Check) sits after another. Dynamic calls —
+// interface methods, func-typed fields and parameters — are boundaries this
+// analyzer cannot see across. The sim.Protocol callbacks behind them are
+// certified separately: the paper's three algorithms (internal/core's
+// BlindGossip, BitConv and AsyncBitConv) mark their Advertise, Decide,
+// Outgoing, Deliver and EndRound as hotpath roots of their own, and
+// TestPaperProtocolsZeroAllocsTau1 pins the same rounds at runtime.
 var Hotalloc = &Analyzer{
 	Name: "hotalloc",
 	Doc:  "certify //mtmlint:hotpath call graphs allocation-free in the steady state",
@@ -426,7 +429,7 @@ func (f *hotFuncWalk) isAmortizedAppend(call *ast.CallExpr) bool {
 	}
 	switch l := lhs.(type) {
 	case *ast.SelectorExpr:
-		return true // field scratch, e.g. c.nbr
+		return true // field scratch, e.g. b.buf
 	case *ast.Ident:
 		obj := f.info().ObjectOf(l)
 		return obj != nil && obj.Pkg() != nil && obj.Parent() == obj.Pkg().Scope()

@@ -129,7 +129,7 @@ func (p *PPush) Decide(ctx *sim.Context) (int32, bool) {
 	if !p.informed {
 		return 0, false
 	}
-	target, ok := ctx.RandomNeighborMatching(func(_ int32, tag uint64) bool { return tag == 1 })
+	target, ok := ctx.RandomNeighborTagged(1)
 	if !ok {
 		return 0, false
 	}

@@ -104,3 +104,58 @@ func TestSteadyStateZeroAllocsTracedParallel(t *testing.T) {
 			delta, traced, untraced)
 	}
 }
+
+// TestPaperProtocolsZeroAllocsTau1 extends the zero-allocation contract to
+// all three of the paper's algorithms in its adversarial regime, τ=1: the
+// topology is relabelled every round (dyngraph.Permuted), so a warm round
+// covers the relabel into a recycled buffer, the protocol callbacks, the
+// tagged neighbor draws and the value-typed message exchange. AsyncBitConv
+// runs with staggered activations, so its rounds take the activity-filtered
+// scans and draws. Each must be exactly 0 allocations per round at
+// Workers=1.
+func TestPaperProtocolsZeroAllocsTau1(t *testing.T) {
+	const n = 256
+	params := core.DefaultBitConvParams(n, 8)
+	stagger := make([]int, n)
+	for u := range stagger {
+		stagger[u] = 1 + (u*37)%400 // some nodes still inactive past the window
+	}
+	for _, tc := range []struct {
+		name        string
+		tagBits     int
+		activations []int
+		build       func() []sim.Protocol
+	}{
+		{"blindgossip", 0, nil, func() []sim.Protocol {
+			return core.NewBlindGossipNetwork(core.UniqueUIDs(n, 42))
+		}},
+		{"bitconv", 1, nil, func() []sim.Protocol {
+			p, _ := core.NewBitConvNetwork(core.UniqueUIDs(n, 43), params, 5)
+			return p
+		}},
+		{"asyncbitconv", core.TagBitsNeeded(params), stagger, func() []sim.Protocol {
+			p, _ := core.NewAsyncBitConvNetwork(core.UniqueUIDs(n, 44), params, 5)
+			return p
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			eng, err := sim.New(
+				dyngraph.NewPermuted(gen.RandomRegular(n, 8, 1), 1, 3),
+				tc.build(),
+				sim.Config{Seed: 42, TagBits: tc.tagBits, Activations: tc.activations, Workers: 1},
+			)
+			if err != nil {
+				t.Fatal(err)
+			}
+			eng.RunRounds(1, 50)
+			next := 51
+			avg := testing.AllocsPerRun(200, func() {
+				eng.RunRounds(next, 1)
+				next++
+			})
+			if avg != 0 {
+				t.Fatalf("τ=1 steady-state round allocates: %v allocs/round, want 0", avg)
+			}
+		})
+	}
+}

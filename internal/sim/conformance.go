@@ -15,7 +15,7 @@ type ConformanceConfig struct {
 	Rounds int
 	// TagBits the protocol is entitled to (checked by the engine).
 	TagBits int
-	// MaxUIDs per message (default 2).
+	// MaxUIDs per message (default MessageCap).
 	MaxUIDs int
 }
 

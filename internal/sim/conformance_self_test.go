@@ -47,7 +47,8 @@ func TestConformanceCatchesTagViolation(t *testing.T) {
 	}
 }
 
-// chattyProto2 exceeds the message UID budget.
+// chattyProto2 exceeds the message UID budget: it sends two UIDs, and the
+// conformance run below allows one.
 type chattyProto2 struct{ politeProto }
 
 func (chattyProto2) Decide(ctx *sim.Context) (int32, bool) {
@@ -60,12 +61,12 @@ func (chattyProto2) Decide(ctx *sim.Context) (int32, bool) {
 	return t, ok
 }
 func (chattyProto2) Outgoing(*sim.Context, int32) sim.Message {
-	return sim.Message{UIDs: []uint64{1, 2, 3, 4, 5}}
+	return sim.Message{}.WithUID(1).WithUID(2)
 }
 
 func TestConformanceCatchesMessageViolation(t *testing.T) {
 	err := sim.CheckConformance(func(int) sim.Protocol { return chattyProto2{} },
-		sim.ConformanceConfig{Seed: 3, Rounds: 20})
+		sim.ConformanceConfig{Seed: 3, Rounds: 20, MaxUIDs: 1})
 	if err == nil {
 		t.Fatal("message budget violation not caught")
 	}

@@ -96,6 +96,11 @@ func conformanceCases(n, maxDegree int) []conformanceCase {
 // make that phase fusion and the epoch-published pool changed scheduling,
 // not semantics.
 //
+// The τ=1 columns rerun the sweep on the paper's adversarial schedule, a
+// topology relabelled every round into Permuted's two recycled buffers:
+// the forced-pool runs at w=2 and w=7 must match w=1 byte for byte, so an
+// epoch's graph is never recycled while a worker still reads it.
+//
 // The faulted column repeats the sweep with a full-repertoire fault plan
 // (rate churn, a partition with a scheduled heal, corruption bursts, message
 // loss, tag flips) and the invariant audit on: node-addressed fault draws
@@ -104,11 +109,12 @@ func conformanceCases(n, maxDegree int) []conformanceCase {
 // the fault-free one.
 func TestParallelRoundConformanceAcrossWorkers(t *testing.T) {
 	f := gen.SqrtLineOfStars(20) // n = 420, Δ = 22: hubs stress degree-balanced chunking
-	variants := []struct {
+	type variant struct {
 		name    string
 		workers int
 		pool    bool
-	}{
+	}
+	all := []variant{
 		{"w1", 1, false},
 		{"w2", 2, false},
 		{"w7", 7, false},
@@ -117,17 +123,25 @@ func TestParallelRoundConformanceAcrossWorkers(t *testing.T) {
 		{"w7-pool", 7, true},
 		{"w16-pool", 16, true},
 	}
+	tau1 := []variant{{"w1", 1, false}, {"w2-pool", 2, true}, {"w7-pool", 7, true}}
 	plan := fault.Plan{
 		Seed: 31, CrashRate: 0.002, RecoverRate: 0.3, MaxDown: f.N() / 8,
 		ProposalLoss: 0.05, ConnLoss: 0.03, TagFlipRate: 0.02,
 		Corruptions: []fault.Burst{{Round: 12, Nodes: []int{3, 9, 200}}},
 		Partitions:  []fault.Partition{{Start: 5, Heal: 25, Parts: 2}},
 	}
-	for _, faulted := range []bool{false, true} {
-		col := "fault-free"
-		if faulted {
-			col = "faulted"
-		}
+	for _, column := range []struct {
+		col      string
+		tau      int
+		faulted  bool
+		variants []variant
+	}{
+		{"fault-free", 2, false, all},
+		{"faulted", 2, true, all},
+		{"tau1-fault-free", 1, false, tau1},
+		{"tau1-faulted", 1, true, tau1},
+	} {
+		col, tau, faulted, variants := column.col, column.tau, column.faulted, column.variants
 		for _, tc := range conformanceCases(f.N(), 22) {
 			t.Run(col+"/"+tc.name, func(t *testing.T) {
 				var wantRes sim.Result
@@ -153,7 +167,7 @@ func TestParallelRoundConformanceAcrossWorkers(t *testing.T) {
 						cfg.Faults = in
 						cfg.Check = true
 					}
-					eng, err := sim.New(dyngraph.NewPermuted(f, 2, 17), protocols, cfg)
+					eng, err := sim.New(dyngraph.NewPermuted(f, tau, 17), protocols, cfg)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -196,17 +210,22 @@ func firstDiff(a, b []byte) int {
 	return n
 }
 
-// TestActiveSetMatchingZeroAllocs pins the RandomNeighborMatching slow path
-// (active-set filter + predicate) at zero steady-state allocations with
-// Workers=1: the candidate scratch must live on the Context and be reused
-// across rounds. PPush exercises the predicate draw every round; churn
-// keeps an evolving edge set in play so the CSR rebuild scratch is hit too.
+// TestActiveSetMatchingZeroAllocs pins the RandomNeighborTagged slow path
+// (active-set filter + tag match) at zero steady-state allocations with
+// Workers=1. PPush exercises the tagged draw every round; staggered
+// activations keep part of the network inactive through the measured
+// window, so every draw takes the activity-filtered scan.
 func TestActiveSetMatchingZeroAllocs(t *testing.T) {
 	const n = 256
+	acts := make([]int, n)
+	for u := range acts {
+		acts[u] = 1 + (u*53)%500
+	}
+	acts[0] = 1 // the rumor source starts informed and active
 	eng, err := sim.New(
 		dyngraph.NewStatic(gen.RandomRegular(n, 8, 4)),
 		rumor.NewPPushNetwork(n, map[int]bool{0: true}),
-		sim.Config{Seed: 6, TagBits: 1, Workers: 1},
+		sim.Config{Seed: 6, TagBits: 1, Workers: 1, Activations: acts},
 	)
 	if err != nil {
 		t.Fatal(err)

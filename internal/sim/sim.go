@@ -37,10 +37,52 @@ import (
 )
 
 // Message is the bounded payload exchanged over one connection: at most
-// Config.MaxUIDs opaque UIDs plus 64 auxiliary bits.
+// Config.MaxUIDs opaque UIDs plus 64 auxiliary bits. It is a plain value —
+// the UIDs live in the struct, not behind a slice — so producing one in
+// Outgoing allocates nothing. Build one with WithUID:
+//
+//	sim.Message{Aux: tag}.WithUID(uid)
+//
+// The two UIDs are named fields rather than an array so that the whole
+// message is passed in registers across the Outgoing/Deliver interface
+// calls (the register ABI assigns no array longer than one element).
 type Message struct {
-	UIDs []uint64
-	Aux  uint64
+	uid0, uid1 uint64
+	nUIDs      int
+	Aux        uint64
+}
+
+// MessageCap is the number of UIDs a Message can carry: the paper's O(1)
+// per-connection UID budget, and the default of Config.MaxUIDs.
+const MessageCap = 2
+
+// WithUID returns m with uid appended. It panics if m already carries
+// MessageCap UIDs.
+func (m Message) WithUID(uid uint64) Message {
+	switch m.nUIDs {
+	case 0:
+		m.uid0 = uid
+	case 1:
+		m.uid1 = uid
+	default:
+		panic("sim: Message already carries MessageCap UIDs")
+	}
+	m.nUIDs++
+	return m
+}
+
+// NUIDs returns the number of UIDs the message carries.
+func (m Message) NUIDs() int { return m.nUIDs }
+
+// UID returns the message's i-th UID (0-based). It panics if i >= NUIDs().
+func (m Message) UID(i int) uint64 {
+	if i < 0 || i >= m.nUIDs {
+		panic("sim: Message UID index out of range")
+	}
+	if i == 0 {
+		return m.uid0
+	}
+	return m.uid1
 }
 
 // Context is the per-node view the engine passes to protocol callbacks. It
@@ -56,7 +98,6 @@ type Context struct {
 	tags []uint64
 	act  []bool   // activity per node (nil means all active)
 	sink obs.Sink // event sink, nil when tracing is disabled
-	nbr  []int32  // candidate scratch for RandomNeighborMatching, grown once
 }
 
 // EmitTransition publishes a protocol state transition (leader-estimate
@@ -109,43 +150,78 @@ func (c *Context) Neighbors(fn func(id int32, tag uint64)) {
 //
 //mtmlint:hotpath
 func (c *Context) RandomNeighbor() (id int32, ok bool) {
+	nbrs := c.g.Neighbors(int(c.Node))
 	if c.act == nil {
-		// Everyone is active: index the adjacency list directly instead of
-		// the generic count-then-index double scan. Same single RNG draw
-		// over the same count, so the choice is bit-identical.
-		nbrs := c.g.Neighbors(int(c.Node))
+		// Everyone is active: index the adjacency list directly.
 		if len(nbrs) == 0 {
 			return 0, false
 		}
 		return nbrs[c.RNG.Intn(len(nbrs))], true
 	}
-	return c.RandomNeighborMatching(everyNeighbor)
-}
-
-// everyNeighbor is the all-pass predicate; a package-level value so calling
-// RandomNeighbor never constructs a closure.
-var everyNeighbor = func(int32, uint64) bool { return true }
-
-// RandomNeighborMatching returns a uniformly random active neighbor whose
-// (id, tag) satisfies pred, or ok=false if none does. A single scan collects
-// the matching ids into per-Context scratch (reservoir-style: candidates are
-// buffered, the winner indexed afterwards), then one Intn over the match
-// count picks the winner — the same single draw over the same count as the
-// historical count-then-index double scan, so the choice is bit-identical
-// while pred and the activity filter run once per neighbor instead of twice.
-//
-//mtmlint:hotpath
-func (c *Context) RandomNeighborMatching(pred func(id int32, tag uint64) bool) (id int32, ok bool) {
-	c.nbr = c.nbr[:0]
-	for _, v := range c.g.Neighbors(int(c.Node)) {
-		if (c.act == nil || c.act[v]) && pred(v, c.tags[v]) {
-			c.nbr = append(c.nbr, v)
+	k := 0
+	for _, v := range nbrs {
+		if c.act[v] {
+			k++
 		}
 	}
-	if len(c.nbr) == 0 {
+	if k == 0 {
 		return 0, false
 	}
-	return c.nbr[c.RNG.Intn(len(c.nbr))], true
+	i := c.RNG.Intn(k)
+	for _, v := range nbrs {
+		if c.act[v] {
+			if i == 0 {
+				return v, true
+			}
+			i--
+		}
+	}
+	panic("sim: RandomNeighbor lost its candidate")
+}
+
+// RandomNeighborTagged returns a uniformly random active neighbor that
+// advertised tag want this round, or ok=false if none did. It counts the
+// matching neighbors, draws one Intn over that count, and walks the
+// adjacency list again to the chosen match: candidates are ranked in
+// ascending id order, so the choice is a pure function of the scan and the
+// node's RNG stream. Both scans are inline loops over the adjacency list —
+// no predicate call and no candidate buffer.
+//
+//mtmlint:hotpath
+func (c *Context) RandomNeighborTagged(want uint64) (id int32, ok bool) {
+	nbrs, tags, act := c.g.Neighbors(int(c.Node)), c.tags, c.act
+	k := 0
+	for _, v := range nbrs {
+		k += tagMatch(tags, act, v, want)
+	}
+	if k == 0 {
+		return 0, false
+	}
+	i := c.RNG.Intn(k)
+	for _, v := range nbrs {
+		i -= tagMatch(tags, act, v, want)
+		if i < 0 {
+			return v, true
+		}
+	}
+	panic("sim: RandomNeighborTagged lost its candidate")
+}
+
+// tagMatch is 1 when neighbor v is active and advertised want, else 0. It
+// is written to compile without a data-dependent branch: the tags a node
+// draws on are close to random bits, so a branch per neighbor would
+// mispredict about half the time.
+//
+//mtmlint:hotpath
+func tagMatch(tags []uint64, act []bool, v int32, want uint64) int {
+	m := 0
+	if tags[v] == want {
+		m = 1
+	}
+	if act != nil && !act[v] {
+		m = 0
+	}
+	return m
 }
 
 // Protocol is the per-node state machine an algorithm implements. The engine
@@ -186,7 +262,9 @@ type Config struct {
 	TagBits int
 
 	// MaxUIDs bounds the number of UIDs per message (the paper's O(1)).
-	// Zero means the default of 2.
+	// Zero means MessageCap, the most a Message can carry; a value may only
+	// tighten that budget, so New rejects negative values and values above
+	// MessageCap.
 	MaxUIDs int
 
 	// MaxRounds aborts the run if no stop condition fires earlier.
@@ -367,10 +445,7 @@ func AllLeadersEqual(round int, protocols []Protocol) bool {
 // condition firing.
 var ErrNotStabilized = errors.New("sim: run did not stabilize within MaxRounds")
 
-const (
-	defaultMaxUIDs   = 2
-	defaultMaxRounds = 10_000_000
-)
+const defaultMaxRounds = 10_000_000
 
 // Engine executes protocols over a schedule. Create with New, run with Run.
 type Engine struct {
@@ -525,8 +600,11 @@ func New(sched dyngraph.Schedule, protocols []Protocol, cfg Config) (*Engine, er
 	if cfg.TagBits < 0 || cfg.TagBits > 64 {
 		return nil, fmt.Errorf("sim: TagBits %d outside [0, 64]", cfg.TagBits)
 	}
+	if cfg.MaxUIDs < 0 || cfg.MaxUIDs > MessageCap {
+		return nil, fmt.Errorf("sim: MaxUIDs %d outside [0, %d]", cfg.MaxUIDs, MessageCap)
+	}
 	if cfg.MaxUIDs == 0 {
-		cfg.MaxUIDs = defaultMaxUIDs
+		cfg.MaxUIDs = MessageCap
 	}
 	if cfg.MaxRounds == 0 {
 		cfg.MaxRounds = defaultMaxRounds
@@ -748,6 +826,9 @@ func (e *Engine) refreshChunks(g *graph.Graph) {
 //mtmlint:hotpath
 func (e *Engine) stepCore(r int) RoundStats {
 	g := e.sched.GraphAt(r)
+	// Schedules that recycle graph storage (dyngraph.Permuted) still hand
+	// consecutive epochs different graphs, so this pointer check sees every
+	// epoch change.
 	if e.spanWorkers() > 1 && g != e.chunkG {
 		e.refreshChunks(g)
 	}
@@ -1312,8 +1393,8 @@ func (e *Engine) emitDeliver(sink obs.Sink, to, from int32, m Message) {
 		return
 	}
 	var uid uint64
-	if len(m.UIDs) > 0 {
-		uid = m.UIDs[0]
+	if m.nUIDs > 0 {
+		uid = m.uid0
 	}
 	sink.Event(obs.Event{Type: obs.TypeDeliver, Round: e.curRound,
 		Node: to, Peer: from, A: uid, B: m.Aux})
@@ -1702,8 +1783,8 @@ func (e *Engine) classicalFinish(r int, g *graph.Graph, act []bool, activeCount 
 }
 
 func (e *Engine) checkMessage(u int, m Message) {
-	if len(m.UIDs) > e.cfg.MaxUIDs {
-		panic(fmt.Sprintf("sim: node %d sent %d UIDs, budget is %d", u, len(m.UIDs), e.cfg.MaxUIDs))
+	if m.nUIDs > e.cfg.MaxUIDs {
+		panic(fmt.Sprintf("sim: node %d sent %d UIDs, budget is %d", u, m.nUIDs, e.cfg.MaxUIDs))
 	}
 }
 

@@ -265,7 +265,8 @@ func TestMessageBudgetEnforced(t *testing.T) {
 	_, _ = eng.Run(nil)
 }
 
-// chattyProto always proposes to its first neighbor and sends 3 UIDs.
+// chattyProto always proposes to its first neighbor and sends 2 UIDs, one
+// over TestMessageBudgetEnforced's MaxUIDs of 1.
 type chattyProto struct{}
 
 func (c *chattyProto) Advertise(*sim.Context) uint64 { return 0 }
@@ -277,7 +278,7 @@ func (c *chattyProto) Decide(ctx *sim.Context) (int32, bool) {
 	return 0, false
 }
 func (c *chattyProto) Outgoing(*sim.Context, int32) sim.Message {
-	return sim.Message{UIDs: []uint64{1, 2, 3}}
+	return sim.Message{}.WithUID(1).WithUID(2)
 }
 func (c *chattyProto) Deliver(*sim.Context, int32, sim.Message) {}
 func (c *chattyProto) EndRound(*sim.Context)                    {}
@@ -327,6 +328,30 @@ func TestConfigValidation(t *testing.T) {
 	}
 	if _, err := sim.New(dyngraph.NewStatic(f), protocols, sim.Config{Activations: []int{1, 0, 1}}); err == nil {
 		t.Fatal("activation round 0 accepted")
+	}
+}
+
+// TestMaxUIDsValidated pins the message budget's range: MaxUIDs can only
+// tighten the MessageCap UIDs a Message carries. A negative budget would
+// make every message over budget, and one above MessageCap could never be
+// used, so New rejects both instead of failing at the first exchange.
+func TestMaxUIDsValidated(t *testing.T) {
+	f := gen.Path(3)
+	protocols, _, _ := newProbeNetwork(3)
+	for _, tc := range []struct {
+		maxUIDs int
+		ok      bool
+	}{
+		{-1, false},
+		{0, true},
+		{1, true},
+		{sim.MessageCap, true},
+		{sim.MessageCap + 1, false},
+	} {
+		_, err := sim.New(dyngraph.NewStatic(f), protocols, sim.Config{MaxUIDs: tc.maxUIDs})
+		if (err == nil) != tc.ok {
+			t.Errorf("MaxUIDs=%d: err = %v, want ok=%v", tc.maxUIDs, err, tc.ok)
+		}
 	}
 }
 
@@ -384,7 +409,8 @@ func TestStopConditionWaitsForAllActive(t *testing.T) {
 
 func TestRandomNeighborMatchingUniform(t *testing.T) {
 	// On a star with the center deciding, selection among leaves must be
-	// uniform. We run many rounds and count who the center proposes to.
+	// uniform. We run many rounds and count who the center proposes to;
+	// every leaf advertises the tag the center draws on.
 	n := 9
 	counts := make([]int, n)
 	protocols := make([]sim.Protocol, n)
@@ -405,7 +431,7 @@ func TestRandomNeighborMatchingUniform(t *testing.T) {
 }
 
 // centerCounter: node 0 (the star center) proposes to a random neighbor
-// every round and tallies its choices.
+// advertising tag 0 every round and tallies its choices.
 type centerCounter struct{ counts []int }
 
 func (p *centerCounter) Advertise(*sim.Context) uint64 { return 0 }
@@ -413,7 +439,7 @@ func (p *centerCounter) Decide(ctx *sim.Context) (int32, bool) {
 	if ctx.Node != 0 {
 		return 0, false
 	}
-	t, ok := ctx.RandomNeighbor()
+	t, ok := ctx.RandomNeighborTagged(0)
 	if !ok {
 		return 0, false
 	}
@@ -424,6 +450,89 @@ func (p *centerCounter) Outgoing(*sim.Context, int32) sim.Message { return sim.M
 func (p *centerCounter) Deliver(*sim.Context, int32, sim.Message) {}
 func (p *centerCounter) EndRound(*sim.Context)                    {}
 func (p *centerCounter) Leader() uint64                           { return 0 }
+
+// TestRandomNeighborTaggedUniformMixedLeaves draws over a star whose leaves
+// mix matching tags, non-matching tags and leaves that never activate, so
+// both draws run their activity-filtered (act != nil) scans. The tagged
+// draw must be uniform over the active matching leaves and never pick a
+// non-matching or inactive one; the untagged draw must be uniform over the
+// active leaves. The center draws on tag 0, the tag the engine records for
+// inactive nodes, so a missing activity check would show up as picks of
+// leaves 4 and 9.
+func TestRandomNeighborTaggedUniformMixedLeaves(t *testing.T) {
+	const n, rounds = 13, 6000
+	inactive := map[int]bool{4: true, 9: true}
+	acts := make([]int, n)
+	for u := range acts {
+		acts[u] = 1
+		if inactive[u] {
+			acts[u] = rounds + 1
+		}
+	}
+	tagged, untagged := make([]int, n), make([]int, n)
+	protocols := make([]sim.Protocol, n)
+	for i := range protocols {
+		protocols[i] = &mixedStarCenter{tagged: tagged, untagged: untagged}
+	}
+	eng, err := sim.New(dyngraph.NewStatic(gen.Star(n)), protocols,
+		sim.Config{Seed: 13, TagBits: 1, MaxRounds: rounds, Activations: acts, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _ = eng.Run(nil)
+	var matching, active int
+	for leaf := 1; leaf < n; leaf++ {
+		if !inactive[leaf] {
+			active++
+			if leaf%2 == 1 {
+				matching++
+			}
+		}
+	}
+	for leaf := 1; leaf < n; leaf++ {
+		wantTagged, wantUntagged := 0, 0
+		if !inactive[leaf] {
+			wantUntagged = rounds / active
+			if leaf%2 == 1 {
+				wantTagged = rounds / matching
+			}
+		}
+		for _, c := range []struct {
+			name      string
+			got, want int
+		}{{"tagged", tagged[leaf], wantTagged}, {"untagged", untagged[leaf], wantUntagged}} {
+			if c.got < c.want*4/5 || c.got > c.want*6/5 {
+				t.Fatalf("%s draw chose leaf %d %d/%d times, want about %d: tagged %v, untagged %v",
+					c.name, leaf, c.got, rounds, c.want, tagged, untagged)
+			}
+		}
+	}
+}
+
+// mixedStarCenter: odd leaves advertise 0 and even leaves 1; the star
+// center draws one tagged (tag 0) and one untagged neighbor every round,
+// tallies both, and proposes to neither.
+type mixedStarCenter struct{ tagged, untagged []int }
+
+func (p *mixedStarCenter) Advertise(ctx *sim.Context) uint64 {
+	return uint64(1 - ctx.Node%2)
+}
+func (p *mixedStarCenter) Decide(ctx *sim.Context) (int32, bool) {
+	if ctx.Node != 0 {
+		return 0, false
+	}
+	if v, ok := ctx.RandomNeighborTagged(0); ok {
+		p.tagged[v]++
+	}
+	if v, ok := ctx.RandomNeighbor(); ok {
+		p.untagged[v]++
+	}
+	return 0, false
+}
+func (p *mixedStarCenter) Outgoing(*sim.Context, int32) sim.Message { return sim.Message{} }
+func (p *mixedStarCenter) Deliver(*sim.Context, int32, sim.Message) {}
+func (p *mixedStarCenter) EndRound(*sim.Context)                    {}
+func (p *mixedStarCenter) Leader() uint64                           { return 0 }
 
 func TestAcceptUniformAmongProposers(t *testing.T) {
 	// All leaves of a star propose to the center every round; the center

@@ -177,12 +177,16 @@ func (r *RNG) Perm(n int) []int {
 // PermInto fills p with a uniformly random permutation of [0, len(p)). It
 // draws exactly the random values Perm(len(p)) would, so the two are
 // interchangeable per stream — PermInto just reuses the caller's slice,
-// for hot paths that generate a permutation every round.
+// for hot paths that generate a permutation every round. The Fisher-Yates
+// loop is Shuffle's, written out so the swap is not an indirect call.
 func (r *RNG) PermInto(p []int) {
 	for i := range p {
 		p[i] = i
 	}
-	r.Shuffle(len(p), func(i, j int) { p[i], p[j] = p[j], p[i] })
+	for i := len(p) - 1; i > 0; i-- {
+		j := r.Intn(i + 1)
+		p[i], p[j] = p[j], p[i]
+	}
 }
 
 // Shuffle performs a Fisher-Yates shuffle over n elements using swap.

@@ -333,3 +333,30 @@ func BenchmarkFillUint64s(b *testing.B) {
 		r.FillUint64s(dst)
 	}
 }
+
+// TestPermIntoMatchesShuffle pins PermInto's written-out Fisher-Yates loop
+// to the Shuffle-based permutation it replaced: the same Intn(i+1) draws
+// in the same order, so the same permutation and the same stream state
+// afterwards.
+func TestPermIntoMatchesShuffle(t *testing.T) {
+	for _, n := range []int{0, 1, 2, 3, 17, 512, 1000} {
+		for seed := uint64(1); seed <= 5; seed++ {
+			a, b := New(seed), New(seed)
+			got := make([]int, n)
+			a.PermInto(got)
+			want := make([]int, n)
+			for i := range want {
+				want[i] = i
+			}
+			b.Shuffle(n, func(i, j int) { want[i], want[j] = want[j], want[i] })
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("n=%d seed=%d: PermInto[%d] = %d, Shuffle gives %d", n, seed, i, got[i], want[i])
+				}
+			}
+			if a.Uint64() != b.Uint64() {
+				t.Fatalf("n=%d seed=%d: streams diverged after the permutation", n, seed)
+			}
+		}
+	}
+}
