@@ -28,9 +28,14 @@ race:
 # pointers, receiver-method bodies, the scatter-cursor idiom whose
 # disjointness rests on the sequential prefix merge, the frozen-for-the-
 # round fault mask reads, and the epoch-publish proof's single-dispatcher
-# and constructor-before-spawn assumptions).
+# and constructor-before-spawn assumptions). The second line runs the
+# experiments whose trial bodies moved onto the parallel trial runner, so
+# per-trial state shared across concurrent trials shows up as a race; it
+# repeats ten times because whether two trials' writes overlap depends on
+# scheduling.
 race-smoke:
 	$(GO) test -race -timeout 20m ./internal/sim ./internal/fault -run 'Parallel|Workers|Fault|Chaos|Pool'
+	$(GO) test -race -count=10 ./internal/experiment -run 'TestQuickRuns/(E5|E9|E10)'
 
 lint:
 	$(GO) run ./cmd/mtmlint ./...

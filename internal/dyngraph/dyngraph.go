@@ -348,10 +348,12 @@ func canonEdge(u, v int32) [2]int32 {
 }
 
 // buildGraph materializes the current edge list in O(n + m log Δ) without
-// the Builder's global O(m log m) edge sort: counting-sort endpoints into
-// CSR (degree/cursor scratch reused across epochs), then sort each short
-// adjacency list. The offsets/adj arrays are fresh per epoch on purpose —
-// consumers hold the previous epoch's graph across the boundary.
+// a Builder: counting-sort endpoints into CSR (degree/cursor scratch reused
+// across epochs), then sort each short adjacency list. The Builder is O(n+m)
+// too, but copies the edge list, allocates its own scratch every call and
+// re-checks for duplicates, which the swap step already rules out. The
+// offsets/adj arrays are fresh per epoch on purpose — consumers hold the
+// previous epoch's graph across the boundary.
 func (c *Churn) buildGraph() *graph.Graph {
 	n := c.base.N()
 	if cap(c.deg) < n {

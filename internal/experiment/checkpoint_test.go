@@ -167,17 +167,19 @@ func TestCheckpointDieAfter(t *testing.T) {
 	}
 }
 
-// resumeExperiment is the sweep used by the resume tests: a real registered
-// multi-point experiment that goes through runPointTrials.
-const resumeExperiment = "E1-blindgossip-scaling"
+// resumeExperiments are the sweeps the resume and interrupt tests run: real
+// registered multi-point experiments that go through runPointTrials. E1
+// reports stabilization rounds; E5 reports a trialSpec.Value (nodes informed
+// at a fixed horizon), so its cells are counts, not rounds.
+var resumeExperiments = []string{"E1-blindgossip-scaling", "E5-ppush-approx"}
 
-// runWithCheckpoint runs the resume experiment with a fresh Checkpoint
-// handle on path and returns the rendered table.
-func runWithCheckpoint(t *testing.T, path string, key CheckpointKey) string {
+// runWithCheckpoint runs experiment id with a fresh Checkpoint handle on
+// path and returns the rendered table.
+func runWithCheckpoint(t *testing.T, id, path string, key CheckpointKey) string {
 	t.Helper()
-	e, ok := ByID(resumeExperiment)
+	e, ok := ByID(id)
 	if !ok {
-		t.Fatalf("%s not registered", resumeExperiment)
+		t.Fatalf("%s not registered", id)
 	}
 	ck, err := OpenCheckpoint(path, key)
 	if err != nil {
@@ -198,72 +200,81 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("resume sweep skipped in -short mode")
 	}
-	e, ok := ByID(resumeExperiment)
-	if !ok {
-		t.Fatalf("%s not registered", resumeExperiment)
-	}
-	key := CheckpointKey{ID: resumeExperiment, Seed: 12345, Trials: 2, Quick: true}
+	for _, id := range resumeExperiments {
+		t.Run(id, func(t *testing.T) {
+			e, ok := ByID(id)
+			if !ok {
+				t.Fatalf("%s not registered", id)
+			}
+			key := CheckpointKey{ID: id, Seed: 12345, Trials: 2, Quick: true}
 
-	// Ground truth: no checkpoint at all.
-	plain, err := e.Run(Config{Seed: key.Seed, Trials: key.Trials, Quick: key.Quick})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := plain.Text()
+			// Ground truth: no checkpoint at all.
+			plain, err := e.Run(Config{Seed: key.Seed, Trials: key.Trials, Quick: key.Quick})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := plain.Text()
 
-	dir := t.TempDir()
-	path := filepath.Join(dir, "e1.ckpt.jsonl")
-	if got := runWithCheckpoint(t, path, key); got != want {
-		t.Fatalf("checkpointed run differs from plain run:\n--- plain\n%s\n--- checkpointed\n%s", want, got)
-	}
+			dir := t.TempDir()
+			path := filepath.Join(dir, "run.ckpt.jsonl")
+			if got := runWithCheckpoint(t, id, path, key); got != want {
+				t.Fatalf("checkpointed run differs from plain run:\n--- plain\n%s\n--- checkpointed\n%s", want, got)
+			}
 
-	// Simulate a mid-sweep kill: drop the second half of the recorded cells
-	// (plus a torn tail byte or two would also be fine — covered above).
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.SplitAfter(string(data), "\n")
-	if len(lines) < 4 {
-		t.Fatalf("checkpoint too small to truncate: %d lines", len(lines))
-	}
-	keep := 1 + (len(lines)-1)/2 // header + half the cells
-	if err := os.WriteFile(path, []byte(strings.Join(lines[:keep], "")), 0o644); err != nil {
-		t.Fatal(err)
-	}
+			// Simulate a mid-sweep kill: drop the second half of the recorded
+			// cells (plus a torn tail byte or two would also be fine —
+			// covered above).
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			lines := strings.SplitAfter(string(data), "\n")
+			if len(lines) < 4 {
+				t.Fatalf("checkpoint too small to truncate: %d lines", len(lines))
+			}
+			keep := 1 + (len(lines)-1)/2 // header + half the cells
+			if err := os.WriteFile(path, []byte(strings.Join(lines[:keep], "")), 0o644); err != nil {
+				t.Fatal(err)
+			}
 
-	// Resume must replay the surviving cells and re-run the rest, landing on
-	// the exact same bytes.
-	ck, err := OpenCheckpoint(path, key)
-	if err != nil {
-		t.Fatal(err)
-	}
-	table, err := e.Run(Config{Seed: key.Seed, Trials: key.Trials, Quick: key.Quick, Checkpoint: ck})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ck.Replayed() == 0 {
-		t.Error("resume replayed no cells")
-	}
-	if ck.Recorded() == 0 {
-		t.Error("resume re-ran no cells")
-	}
-	ck.Close()
-	if got := table.Text(); got != want {
-		t.Fatalf("resumed run differs from plain run:\n--- plain\n%s\n--- resumed\n%s", want, got)
+			// Resume must replay the surviving cells and re-run the rest,
+			// landing on the exact same bytes.
+			ck, err := OpenCheckpoint(path, key)
+			if err != nil {
+				t.Fatal(err)
+			}
+			table, err := e.Run(Config{Seed: key.Seed, Trials: key.Trials, Quick: key.Quick, Checkpoint: ck})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ck.Replayed() == 0 {
+				t.Error("resume replayed no cells")
+			}
+			if ck.Recorded() == 0 {
+				t.Error("resume re-ran no cells")
+			}
+			ck.Close()
+			if got := table.Text(); got != want {
+				t.Fatalf("resumed run differs from plain run:\n--- plain\n%s\n--- resumed\n%s", want, got)
+			}
+		})
 	}
 }
 
 func TestInterruptAbortsSweep(t *testing.T) {
-	e, ok := ByID(resumeExperiment)
-	if !ok {
-		t.Fatalf("%s not registered", resumeExperiment)
-	}
-	stop := make(chan struct{})
-	close(stop)
-	_, err := e.Run(Config{Seed: 1, Trials: 2, Quick: true, Interrupt: stop})
-	if !errors.Is(err, ErrInterrupted) {
-		t.Fatalf("err = %v, want ErrInterrupted", err)
+	for _, id := range resumeExperiments {
+		t.Run(id, func(t *testing.T) {
+			e, ok := ByID(id)
+			if !ok {
+				t.Fatalf("%s not registered", id)
+			}
+			stop := make(chan struct{})
+			close(stop)
+			_, err := e.Run(Config{Seed: 1, Trials: 2, Quick: true, Interrupt: stop})
+			if !errors.Is(err, ErrInterrupted) {
+				t.Fatalf("err = %v, want ErrInterrupted", err)
+			}
+		})
 	}
 }
 
@@ -273,30 +284,34 @@ func TestInterruptedRunResumes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("resume sweep skipped in -short mode")
 	}
-	e, ok := ByID(resumeExperiment)
-	if !ok {
-		t.Fatalf("%s not registered", resumeExperiment)
-	}
-	key := CheckpointKey{ID: resumeExperiment, Seed: 777, Trials: 2, Quick: true}
-	plain, err := e.Run(Config{Seed: key.Seed, Trials: key.Trials, Quick: key.Quick})
-	if err != nil {
-		t.Fatal(err)
-	}
+	for _, id := range resumeExperiments {
+		t.Run(id, func(t *testing.T) {
+			e, ok := ByID(id)
+			if !ok {
+				t.Fatalf("%s not registered", id)
+			}
+			key := CheckpointKey{ID: id, Seed: 777, Trials: 2, Quick: true}
+			plain, err := e.Run(Config{Seed: key.Seed, Trials: key.Trials, Quick: key.Quick})
+			if err != nil {
+				t.Fatal(err)
+			}
 
-	path := filepath.Join(t.TempDir(), "e1.ckpt.jsonl")
-	ck, err := OpenCheckpoint(path, key)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stop := make(chan struct{})
-	close(stop)
-	if _, err := e.Run(Config{Seed: key.Seed, Trials: key.Trials, Quick: key.Quick,
-		Checkpoint: ck, Interrupt: stop}); !errors.Is(err, ErrInterrupted) {
-		t.Fatalf("err = %v, want ErrInterrupted", err)
-	}
-	ck.Close()
+			path := filepath.Join(t.TempDir(), "run.ckpt.jsonl")
+			ck, err := OpenCheckpoint(path, key)
+			if err != nil {
+				t.Fatal(err)
+			}
+			stop := make(chan struct{})
+			close(stop)
+			if _, err := e.Run(Config{Seed: key.Seed, Trials: key.Trials, Quick: key.Quick,
+				Checkpoint: ck, Interrupt: stop}); !errors.Is(err, ErrInterrupted) {
+				t.Fatalf("err = %v, want ErrInterrupted", err)
+			}
+			ck.Close()
 
-	if got := runWithCheckpoint(t, path, key); got != plain.Text() {
-		t.Fatalf("post-interrupt resume differs:\n--- plain\n%s\n--- resumed\n%s", plain.Text(), got)
+			if got := runWithCheckpoint(t, id, path, key); got != plain.Text() {
+				t.Fatalf("post-interrupt resume differs:\n--- plain\n%s\n--- resumed\n%s", plain.Text(), got)
+			}
+		})
 	}
 }

@@ -129,35 +129,42 @@ func runE9(cfg Config) (*trace.Table, error) {
 	table := trace.NewTable("E9 self-stabilization under component merges (Section VIII)",
 		"pre-merge rounds", "median post-merge rounds", "p90", "correct leader")
 
-	for _, preMerge := range []int{1, 500, 5000} {
+	preMerges := []int{1, 500, 5000}
+	specs := make([]pointSpec, len(preMerges))
+	for pi, preMerge := range preMerges {
 		preMerge := preMerge
-		postRounds := make([]float64, trials)
-		for trial := 0; trial < trials; trial++ {
-			seed := trialSeed(cfg.Seed, 900+preMerge, trial)
-			pre := twoComponents(n, d, seed+10)
-			post := gen.RandomRegular(n, d, seed+11)
-			sched := dyngraph.NewSwitch(dyngraph.NewStatic(pre), dyngraph.NewStatic(post), preMerge+1)
+		uidsBox := make([][]uint64, trials)
+		tagsBox := make([][]uint64, trials)
+		specs[pi] = pointSpec{Trials: trials, Spec: trialSpec{
+			Build: func(trial int) (dyngraph.Schedule, []sim.Protocol, sim.Config) {
+				seed := trialSeed(cfg.Seed, 900+preMerge, trial)
+				pre := twoComponents(n, d, seed+10)
+				post := gen.RandomRegular(n, d, seed+11)
+				sched := dyngraph.NewSwitch(dyngraph.NewStatic(pre), dyngraph.NewStatic(post), preMerge+1)
 
-			uids := core.UniqueUIDs(n, seed)
-			protocols, tags := core.NewAsyncBitConvNetwork(uids, params, seed+1)
-			eng, err := sim.New(sched, protocols, sim.Config{
-				Seed: seed + 2, TagBits: core.TagBitsNeeded(params), MaxRounds: 50_000_000, Workers: 1,
-			})
-			if err != nil {
-				return nil, err
-			}
-			res, err := eng.Run(sim.AllLeadersEqual)
-			if err != nil {
-				return nil, err
-			}
-			if err := checkMinPair(uids, tags, protocols); err != nil {
-				return nil, fmt.Errorf("pre-merge %d: %w", preMerge, err)
-			}
-			afterMerge := res.StabilizedRound - preMerge
-			if afterMerge < 0 {
-				afterMerge = 0
-			}
-			postRounds[trial] = float64(afterMerge)
+				uids := core.UniqueUIDs(n, seed)
+				protocols, tags := core.NewAsyncBitConvNetwork(uids, params, seed+1)
+				uidsBox[trial], tagsBox[trial] = uids, tags
+				return sched, protocols, sim.Config{
+					Seed: seed + 2, TagBits: core.TagBitsNeeded(params), MaxRounds: 50_000_000,
+				}
+			},
+			Check: func(trial int, protocols []sim.Protocol) error {
+				if err := checkMinPair(uidsBox[trial], tagsBox[trial], protocols); err != nil {
+					return fmt.Errorf("pre-merge %d: %w", preMerge, err)
+				}
+				return nil
+			},
+		}}
+	}
+	allRounds, err := runPointTrials(cfg, specs)
+	if err != nil {
+		return nil, err
+	}
+	for pi, preMerge := range preMerges {
+		postRounds := make([]float64, trials)
+		for trial, r := range allRounds[pi] {
+			postRounds[trial] = float64(max(r-preMerge, 0))
 		}
 		s := stats.Summarize(postRounds)
 		table.AddRow(preMerge, s.Median, s.P90, "yes")
@@ -184,21 +191,21 @@ func runE10(cfg Config) (*trace.Table, error) {
 		}},
 	}
 
+	// build returns the network and its tags (nil for a tagless protocol);
+	// check validates a converged network against them.
 	type algoPoint struct {
 		name    string
 		tagBits func() int
-		build   func(uids []uint64, seed uint64) []sim.Protocol
+		build   func(uids []uint64, seed uint64) ([]sim.Protocol, []uint64)
 		check   func(uids, tags []uint64, protocols []sim.Protocol) error
 	}
 	params := core.DefaultBitConvParams(n, n-1) // waypoint Δ can be large; be generous
-	var lastTags []uint64
 	algos := []algoPoint{
 		{
 			name:    "blindgossip",
 			tagBits: func() int { return 0 },
-			build: func(uids []uint64, seed uint64) []sim.Protocol {
-				lastTags = nil
-				return core.NewBlindGossipNetwork(uids)
+			build: func(uids []uint64, seed uint64) ([]sim.Protocol, []uint64) {
+				return core.NewBlindGossipNetwork(uids), nil
 			},
 			check: func(uids, _ []uint64, protocols []sim.Protocol) error {
 				if protocols[0].Leader() != core.MinUID(uids) {
@@ -210,57 +217,57 @@ func runE10(cfg Config) (*trace.Table, error) {
 		{
 			name:    "bitconv",
 			tagBits: func() int { return 1 },
-			build: func(uids []uint64, seed uint64) []sim.Protocol {
-				protocols, tags := core.NewBitConvNetwork(uids, params, seed)
-				lastTags = tags
-				return protocols
+			build: func(uids []uint64, seed uint64) ([]sim.Protocol, []uint64) {
+				return core.NewBitConvNetwork(uids, params, seed)
 			},
-			check: func(uids, tags []uint64, protocols []sim.Protocol) error {
-				return checkMinPair(uids, tags, protocols)
-			},
+			check: checkMinPair,
 		},
 		{
 			name:    "asyncbitconv",
 			tagBits: func() int { return core.TagBitsNeeded(params) },
-			build: func(uids []uint64, seed uint64) []sim.Protocol {
-				protocols, tags := core.NewAsyncBitConvNetwork(uids, params, seed)
-				lastTags = tags
-				return protocols
+			build: func(uids []uint64, seed uint64) ([]sim.Protocol, []uint64) {
+				return core.NewAsyncBitConvNetwork(uids, params, seed)
 			},
-			check: func(uids, tags []uint64, protocols []sim.Protocol) error {
-				return checkMinPair(uids, tags, protocols)
-			},
+			check: checkMinPair,
 		},
 	}
 
 	table := trace.NewTable("E10 robustness across dynamic schedules (τ-adaptivity)",
 		"schedule", "algorithm", "median rounds", "p90", "all correct")
 
+	var specs []pointSpec
 	for si, sp := range schedules {
 		for ai, ap := range algos {
-			sp, ap := sp, ap
-			rounds := make([]int, trials)
-			for trial := 0; trial < trials; trial++ {
-				seed := trialSeed(cfg.Seed, 1000+si*10+ai, trial)
-				uids := core.UniqueUIDs(n, seed)
-				protocols := ap.build(uids, seed+1)
-				tags := lastTags
-				eng, err := sim.New(sp.mk(seed+2), protocols, sim.Config{
-					Seed: seed + 3, TagBits: ap.tagBits(), MaxRounds: 50_000_000, Workers: 1,
-				})
-				if err != nil {
-					return nil, err
-				}
-				res, err := eng.Run(sim.AllLeadersEqual)
-				if err != nil {
-					return nil, err
-				}
-				if err := ap.check(uids, tags, protocols); err != nil {
-					return nil, fmt.Errorf("%s/%s trial %d: %w", sp.name, ap.name, trial, err)
-				}
-				rounds[trial] = res.StabilizedRound
-			}
-			s := stats.IntSummary(rounds)
+			si, ai, sp, ap := si, ai, sp, ap
+			// Per-trial boxes: trials of one point run concurrently.
+			uidsBox := make([][]uint64, trials)
+			tagsBox := make([][]uint64, trials)
+			specs = append(specs, pointSpec{Trials: trials, Spec: trialSpec{
+				Build: func(trial int) (dyngraph.Schedule, []sim.Protocol, sim.Config) {
+					seed := trialSeed(cfg.Seed, 1000+si*10+ai, trial)
+					uids := core.UniqueUIDs(n, seed)
+					protocols, tags := ap.build(uids, seed+1)
+					uidsBox[trial], tagsBox[trial] = uids, tags
+					return sp.mk(seed + 2), protocols, sim.Config{
+						Seed: seed + 3, TagBits: ap.tagBits(), MaxRounds: 50_000_000,
+					}
+				},
+				Check: func(trial int, protocols []sim.Protocol) error {
+					if err := ap.check(uidsBox[trial], tagsBox[trial], protocols); err != nil {
+						return fmt.Errorf("%s/%s trial %d: %w", sp.name, ap.name, trial, err)
+					}
+					return nil
+				},
+			}})
+		}
+	}
+	allRounds, err := runPointTrials(cfg, specs)
+	if err != nil {
+		return nil, err
+	}
+	for si, sp := range schedules {
+		for ai, ap := range algos {
+			s := stats.IntSummary(allRounds[si*len(algos)+ai])
 			table.AddRow(sp.name, ap.name, s.Median, s.P90, "yes")
 		}
 	}

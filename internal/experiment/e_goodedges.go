@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"fmt"
+	"sort"
 
 	"mobiletel/internal/core"
 	"mobiletel/internal/dyngraph"
@@ -121,12 +122,9 @@ func runE11(cfg Config) (*trace.Table, error) {
 	return table, nil
 }
 
+// medianOf returns the upper median of xs, leaving xs unchanged.
 func medianOf(xs []float64) float64 {
 	sorted := append([]float64(nil), xs...)
-	for i := 1; i < len(sorted); i++ {
-		for j := i; j > 0 && sorted[j] < sorted[j-1]; j-- {
-			sorted[j], sorted[j-1] = sorted[j-1], sorted[j]
-		}
-	}
+	sort.Float64s(sorted)
 	return sorted[len(sorted)/2]
 }

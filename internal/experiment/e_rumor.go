@@ -69,24 +69,52 @@ func rumorSpec(baseSeed uint64, pointID int, pt e1Point, ppush bool) trialSpec {
 func e5CutGraph(m, targetDeg int, seed uint64) *graph.Graph {
 	rng := xrand.New(seed)
 	b := graph.NewBuilder(2 * m)
-	type edge struct{ l, r int }
-	seen := make(map[edge]bool, m*targetDeg)
-	add := func(l, r int) {
-		e := edge{l, r}
-		if !seen[e] {
-			seen[e] = true
-			b.AddEdge(l, m+r)
-		}
-	}
+	add := e5RowAdder(b, m)
 	for i := 0; i < m; i++ {
 		add(i, i)
-	}
-	for i := 0; i < m; i++ {
 		for d := 1; d < targetDeg; d++ {
 			add(i, rng.Intn(m))
 		}
 	}
 	return b.MustBuild()
+}
+
+// e5RowAdder returns add(l, r), which adds the cut edge L_l–R_r to b unless
+// row l already has it. Repeats are caught by a stamp array — mark[r] == l+1
+// records that row l has an edge to R_r — which is only correct when each
+// row's edges are added together, before the next row's.
+func e5RowAdder(b *graph.Builder, m int) func(l, r int) {
+	mark := make([]int32, m)
+	return func(l, r int) {
+		if mark[r] != int32(l+1) {
+			mark[r] = int32(l + 1)
+			b.AddEdge(l, m+r)
+		}
+	}
+}
+
+// e5Spec is one E5 trial: PPUSH from the informed half L = 0..m-1 of a
+// 2m-node cut, run for exactly horizon rounds, reporting how many nodes of
+// R it informed. build supplies the trial's schedule and engine seed.
+func e5Spec(m, horizon int, build func(trial int) (dyngraph.Schedule, uint64)) trialSpec {
+	return trialSpec{
+		Build: func(trial int) (dyngraph.Schedule, []sim.Protocol, sim.Config) {
+			sched, seed := build(trial)
+			informed := make(map[int]bool, m)
+			for i := 0; i < m; i++ {
+				informed[i] = true
+			}
+			return sched, rumor.NewPPushNetwork(2*m, informed),
+				sim.Config{Seed: seed, TagBits: 1, MaxRounds: horizon}
+		},
+		Stop: func(round int, _ []sim.Protocol) bool { return round >= horizon },
+		Value: func(_ int, res sim.Result, protocols []sim.Protocol) (int, error) {
+			if res.RoundsExecuted != horizon {
+				return 0, fmt.Errorf("E5: stopped after %d of %d rounds", res.RoundsExecuted, horizon)
+			}
+			return rumor.CountInformed(protocols) - m, nil
+		},
+	}
 }
 
 func runE5(cfg Config) (*trace.Table, error) {
@@ -105,36 +133,16 @@ func runE5(cfg Config) (*trace.Table, error) {
 	}
 	nu := matching.Nu(probe, inSet)
 
+	// First sweep: r stable rounds on a static cut graph.
 	maxR := core0Log2(probe.MaxDegree())
+	var points []pointSpec
 	for r := 1; r <= maxR; r++ {
-		fracs := make([]float64, trials)
-		for trial := 0; trial < trials; trial++ {
+		r := r
+		points = append(points, pointSpec{Trials: trials, Spec: e5Spec(m, r, func(trial int) (dyngraph.Schedule, uint64) {
 			seed := trialSeed(cfg.Seed, r, trial)
 			g := e5CutGraph(m, targetDeg, xrand.Mix3(seed, 7, 0))
-			informed := make(map[int]bool, m)
-			for i := 0; i < m; i++ {
-				informed[i] = true
-			}
-			protocols := rumor.NewPPushNetwork(2*m, informed)
-			fam := gen.Family{Name: "e5cut", Graph: g}
-			eng, err := sim.New(dyngraph.NewStatic(fam), protocols,
-				sim.Config{Seed: seed, TagBits: 1, MaxRounds: r, Workers: 1})
-			if err != nil {
-				return nil, err
-			}
-			if _, err := eng.Run(nil); err == nil {
-				// Stop never fires (no stop condition) — Run returns an error
-				// wrapping ErrNotStabilized by design; err == nil means an
-				// unexpected early stop.
-				return nil, fmt.Errorf("E5: unexpected clean stop")
-			}
-			newlyInformed := rumor.CountInformed(protocols) - m
-			fracs[trial] = float64(newlyInformed) / float64(m)
-		}
-		s := stats.Summarize(fracs)
-		delta := probe.MaxDegree()
-		fr := fOfR(delta, r, 2*m)
-		table.AddRow(m, delta, r, s.Median, s.Min, 1/fr, nu)
+			return dyngraph.NewStatic(gen.Family{Name: "e5cut", Graph: g}), seed
+		})})
 	}
 
 	// Second sweep: the τ effect proper. Fix a horizon and re-randomize the
@@ -148,30 +156,35 @@ func runE5(cfg Config) (*trace.Table, error) {
 	// and VIII.2.
 	heavy := targetDeg - 1
 	horizon := 6
-	for _, tau := range []int{1, 2, 3, horizon} {
+	taus := []int{1, 2, 3, horizon}
+	for _, tau := range taus {
 		tau := tau
-		fracs := make([]float64, trials)
-		for trial := 0; trial < trials; trial++ {
+		points = append(points, pointSpec{Trials: trials, Spec: e5Spec(m, horizon, func(trial int) (dyngraph.Schedule, uint64) {
 			seed := trialSeed(cfg.Seed, 5000+tau, trial)
-			sched := dyngraph.NewRegenerate("e5attract", tau, seed, func(s uint64) gen.Family {
+			return dyngraph.NewRegenerate("e5attract", tau, seed, func(s uint64) gen.Family {
 				return gen.Family{Name: "e5attract", Graph: e5AttractorGraph(m, heavy, s)}
-			})
-			informed := make(map[int]bool, m)
-			for i := 0; i < m; i++ {
-				informed[i] = true
-			}
-			protocols := rumor.NewPPushNetwork(2*m, informed)
-			eng, err := sim.New(sched, protocols,
-				sim.Config{Seed: seed + 1, TagBits: 1, MaxRounds: horizon, Workers: 1})
-			if err != nil {
-				return nil, err
-			}
-			if _, err := eng.Run(nil); err == nil {
-				return nil, fmt.Errorf("E5: unexpected clean stop")
-			}
-			fracs[trial] = float64(rumor.CountInformed(protocols)-m) / float64(m)
+			}), seed + 1
+		})})
+	}
+
+	newlyInformed, err := runPointTrials(cfg, points)
+	if err != nil {
+		return nil, err
+	}
+	summarize := func(p int) stats.Summary {
+		fracs := make([]float64, trials)
+		for trial, c := range newlyInformed[p] {
+			fracs[trial] = float64(c) / float64(m)
 		}
-		s := stats.Summarize(fracs)
+		return stats.Summarize(fracs)
+	}
+	delta := probe.MaxDegree()
+	for r := 1; r <= maxR; r++ {
+		s := summarize(r - 1)
+		table.AddRow(m, delta, r, s.Median, s.Min, 1/fOfR(delta, r, 2*m), nu)
+	}
+	for i, tau := range taus {
+		s := summarize(maxR + i)
 		table.AddRow(m, heavy+1, fmt.Sprintf("τ=%d (horizon %d)", tau, horizon),
 			s.Median, s.Min, "", nu)
 	}
@@ -189,15 +202,7 @@ func e5AttractorGraph(m, heavy int, seed uint64) *graph.Graph {
 	rng := xrand.New(seed)
 	attractors := rng.Perm(m)[:maxInt(1, m/16)]
 	b := graph.NewBuilder(2 * m)
-	type edge struct{ l, r int }
-	seen := make(map[edge]bool, m*(heavy+1))
-	add := func(l, r int) {
-		e := edge{l, r}
-		if !seen[e] {
-			seen[e] = true
-			b.AddEdge(l, m+r)
-		}
-	}
+	add := e5RowAdder(b, m)
 	for i := 0; i < m; i++ {
 		add(i, i)
 		for d := 0; d < heavy; d++ {

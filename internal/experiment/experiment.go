@@ -26,6 +26,13 @@ import (
 )
 
 // Config parameterizes an experiment run.
+//
+// Sink, Profiler, Checkpoint and Interrupt act through runPointTrials, the
+// shared parallel trial runner. Three experiments bypass it and ignore all
+// four: E4 draws every trial from one shared RNG stream, so its trials are
+// not independent tasks; A2 treats hitting its round cap as an expected
+// outcome, which the runner would report as a failed trial; and E11 runs
+// one long horizon per family rather than a batch of trials.
 type Config struct {
 	// Seed drives all randomness; every experiment is deterministic in it.
 	Seed uint64
@@ -47,25 +54,27 @@ type Config struct {
 	// Sink, when non-nil, receives the structured event trace of the
 	// batch's first trial (point 0, trial 0); all other trials run
 	// untraced so the batch keeps its parallel throughput. Experiments
-	// that bypass runPointTrials ignore it.
+	// that bypass runPointTrials (E4, A2, E11) ignore it.
 	Sink obs.Sink
 	// Profiler, when non-nil, attaches the phase-timing profiler to the same
 	// first trial Sink observes (point 0, trial 0); the caller renders its
 	// mtmprof/v1 report after the run. Progress lines additionally carry the
 	// hottest phases once the profiled trial has finished. Like Now, the
 	// profiler's clock is injected by the caller — this package still never
-	// reads wall time itself. Experiments that bypass runPointTrials ignore
-	// it.
+	// reads wall time itself. Experiments that bypass runPointTrials (E4,
+	// A2, E11) ignore it.
 	Profiler *obs.Profiler
 	// Checkpoint, when non-nil, makes the sweep crash-safe: every completed
 	// trial is recorded as it finishes and already-recorded trials are
 	// replayed instead of re-simulated, so a killed run resumed with the
 	// same checkpoint produces a bit-identical table. Experiments that
-	// bypass runPointTrials ignore it (they re-run from scratch).
+	// bypass runPointTrials (E4, A2, E11) ignore it: they re-run from
+	// scratch.
 	Checkpoint *Checkpoint
 	// Interrupt, when non-nil, requests a graceful abort when closed:
 	// the feeder stops handing out new trials, in-flight trials drain (and
 	// are still checkpointed), and the run returns ErrInterrupted.
+	// Experiments that bypass runPointTrials (E4, A2, E11) ignore it.
 	Interrupt <-chan struct{}
 }
 
@@ -131,6 +140,10 @@ type trialSpec struct {
 	// Check, if non-nil, validates the converged state (e.g. elected leader
 	// equals the true minimum); failures become errors.
 	Check func(trial int, protocols []sim.Protocol) error
+	// Value, if non-nil, is what the trial reports in place of its
+	// stabilization round — e.g. a count read off the protocols at a fixed
+	// horizon. It runs after Check; an error fails the trial.
+	Value func(trial int, res sim.Result, protocols []sim.Protocol) (int, error)
 }
 
 // pointSpec bundles one data point's batch of trials for runPointTrials.
@@ -140,7 +153,8 @@ type pointSpec struct {
 }
 
 // runPointTrials executes every (point, trial) task through one shared
-// worker pool and returns the stabilization rounds indexed [point][trial].
+// worker pool and returns the stabilization rounds (or, for specs with a
+// Value, the reported values) indexed [point][trial].
 //
 // Feeding all points into a single pipelined pool — instead of running a
 // per-point pool with a barrier between points — means a slow straggler
@@ -233,12 +247,16 @@ func runPointTrials(cfg Config, points []pointSpec) ([][]int, error) {
 					progress.done(t.point)
 					continue
 				}
-				rounds[t.point][t.trial] = res.StabilizedRound
+				value := res.StabilizedRound
 				if spec.Check != nil {
 					errs[t.point][t.trial] = spec.Check(t.trial, protocols)
 				}
+				if errs[t.point][t.trial] == nil && spec.Value != nil {
+					value, errs[t.point][t.trial] = spec.Value(t.trial, res, protocols)
+				}
+				rounds[t.point][t.trial] = value
 				if errs[t.point][t.trial] == nil && cfg.Checkpoint != nil {
-					errs[t.point][t.trial] = cfg.Checkpoint.Record(batch, t.point, t.trial, res.StabilizedRound)
+					errs[t.point][t.trial] = cfg.Checkpoint.Record(batch, t.point, t.trial, value)
 				}
 				progress.done(t.point)
 			}

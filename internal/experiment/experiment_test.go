@@ -1,8 +1,11 @@
 package experiment
 
 import (
+	"runtime"
 	"strings"
 	"testing"
+
+	"mobiletel/internal/obs"
 )
 
 func TestRegistryComplete(t *testing.T) {
@@ -115,4 +118,43 @@ func TestDuplicateRegistrationPanics(t *testing.T) {
 		}
 	}()
 	register(Experiment{ID: "E1-blindgossip-scaling", Claim: "dup", Run: nil})
+}
+
+// TestE5TableIndependentOfGOMAXPROCS pins that E5's trials, now spread over
+// the parallel runner, render the same table on one core as on two.
+func TestE5TableIndependentOfGOMAXPROCS(t *testing.T) {
+	e, ok := ByID("E5-ppush-approx")
+	if !ok {
+		t.Fatal("E5-ppush-approx not registered")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	var tables [2]string
+	for i, procs := range []int{1, 2} {
+		runtime.GOMAXPROCS(procs)
+		table, err := e.Run(Config{Seed: 12345, Quick: true})
+		if err != nil {
+			t.Fatalf("GOMAXPROCS(%d): %v", procs, err)
+		}
+		tables[i] = table.Text()
+	}
+	if tables[0] != tables[1] {
+		t.Fatalf("E5 table differs across GOMAXPROCS:\n--- 1\n%s\n--- 2\n%s", tables[0], tables[1])
+	}
+}
+
+// TestE5SinkReceivesFirstTrial checks that Config.Sink observes E5's first
+// trial (r = 1 on the static cut graph of 2m = 128 nodes in quick mode).
+func TestE5SinkReceivesFirstTrial(t *testing.T) {
+	e, ok := ByID("E5-ppush-approx")
+	if !ok {
+		t.Fatal("E5-ppush-approx not registered")
+	}
+	ring := obs.NewRing(16)
+	if _, err := e.Run(Config{Seed: 12345, Trials: 2, Quick: true, Sink: ring}); err != nil {
+		t.Fatal(err)
+	}
+	h := ring.Header()
+	if ring.Total() == 0 || h.N != 128 || !strings.Contains(h.Schedule, "e5cut") {
+		t.Fatalf("sink saw %d events, header %+v; want the first e5cut trial on 128 nodes", ring.Total(), h)
+	}
 }

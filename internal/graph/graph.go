@@ -333,51 +333,60 @@ func (b *Builder) AddEdge(u, v int) *Builder {
 func (b *Builder) N() int { return b.n }
 
 // Build freezes the accumulated edges into an immutable Graph.
-// It returns an error if any edge was inserted twice.
+// It returns an error if any edge was inserted twice, naming the
+// lexicographically smallest repeated pair (u,v), u < v.
+//
+// Build runs in O(n+m) with a constant number of allocations and no
+// comparison sort: two counting-sort scatter passes, the idiom RelabelInto
+// uses. The first groups arcs by source in insertion order; the second
+// visits sources a in ascending order and appends a to each of its
+// neighbors' lists, so every adjacency list comes out sorted by
+// construction. A repeated edge then shows up as two equal adjacent entries.
 func (b *Builder) Build() (*Graph, error) {
-	sort.Slice(b.edges, func(i, j int) bool {
-		if b.edges[i][0] != b.edges[j][0] {
-			return b.edges[i][0] < b.edges[j][0]
-		}
-		return b.edges[i][1] < b.edges[j][1]
-	})
-	for i := 1; i < len(b.edges); i++ {
-		if b.edges[i] == b.edges[i-1] {
-			return nil, fmt.Errorf("graph: duplicate edge (%d,%d)", b.edges[i][0], b.edges[i][1])
-		}
-	}
-
-	deg := make([]int32, b.n)
+	n := b.n
+	cursor := make([]int32, n)
 	for _, e := range b.edges {
-		deg[e[0]]++
-		deg[e[1]]++
+		cursor[e[0]]++
+		cursor[e[1]]++
 	}
-	offsets := make([]int32, b.n+1)
+	offsets := make([]int32, n+1)
 	maxDeg := 0
-	for u, d := range deg {
+	for u, d := range cursor {
 		offsets[u+1] = offsets[u] + d
 		if int(d) > maxDeg {
 			maxDeg = int(d)
 		}
 	}
-	adj := make([]int32, 2*len(b.edges))
-	cursor := make([]int32, b.n)
-	copy(cursor, offsets[:b.n])
+	// Pass 1: arcs grouped by source, each group in insertion order.
+	bySource := make([]int32, 2*len(b.edges))
+	copy(cursor, offsets[:n])
 	for _, e := range b.edges {
-		adj[cursor[e[0]]] = e[1]
+		bySource[cursor[e[0]]] = e[1]
 		cursor[e[0]]++
-		adj[cursor[e[1]]] = e[0]
+		bySource[cursor[e[1]]] = e[0]
 		cursor[e[1]]++
 	}
-	g := &Graph{offsets: offsets, adj: adj, n: b.n, m: len(b.edges), maxDeg: maxDeg}
-	// Adjacency lists are sorted because edges were sorted by (min, max) and
-	// appended in order for the first endpoint — but not for the second.
-	// Sort each list to restore the invariant.
-	for u := 0; u < g.n; u++ {
-		nbrs := adj[offsets[u]:offsets[u+1]]
-		sort.Slice(nbrs, func(i, j int) bool { return nbrs[i] < nbrs[j] })
+	// Pass 2: ascending sources append themselves to their neighbors' lists.
+	adj := make([]int32, len(bySource))
+	copy(cursor, offsets[:n])
+	for a := 0; a < n; a++ {
+		for _, v := range bySource[offsets[a]:offsets[a+1]] {
+			adj[cursor[v]] = int32(a)
+			cursor[v]++
+		}
 	}
-	return g, nil
+	// Scanning lists in ascending u finds the smallest repeated pair first;
+	// its entry v is above u, since a repeat (v,u) with v < u would already
+	// have shown up in v's list.
+	for u := 0; u < n; u++ {
+		nbrs := adj[offsets[u]:offsets[u+1]]
+		for i := 1; i < len(nbrs); i++ {
+			if nbrs[i] == nbrs[i-1] {
+				return nil, fmt.Errorf("graph: duplicate edge (%d,%d)", u, nbrs[i])
+			}
+		}
+	}
+	return &Graph{offsets: offsets, adj: adj, n: n, m: len(b.edges), maxDeg: maxDeg}, nil
 }
 
 // MustBuild is Build but panics on error; intended for tests and generators
@@ -400,17 +409,15 @@ func FromEdges(n int, edges [][2]int) (*Graph, error) {
 }
 
 // FromCSR adopts ready-made CSR arrays as a graph, skipping the Builder's
-// O(m log m) edge sort — the scale path for generators that can emit each
-// adjacency list already sorted (a 1M-node torus or circulant materializes
-// in O(n+m)). The graph takes ownership of both slices; the caller must not
-// modify them afterwards.
+// edge list and its two scatter passes — the scale path for generators that
+// can emit each adjacency list already sorted (a 1M-node torus or circulant
+// materializes without a 2m-entry intermediate). The graph takes ownership
+// of both slices; the caller must not modify them afterwards.
 //
 // The arrays are fully validated in O(n + m log Δ): offsets must start at 0,
 // be non-decreasing, and end at len(adj); every adjacency list must be
 // strictly increasing (sorted, duplicate-free), in range, and self-loop
-// free; and the adjacency relation must be symmetric. Validation is linear
-// in the input, so adopting is still asymptotically free compared to
-// building.
+// free; and the adjacency relation must be symmetric.
 func FromCSR(offsets, adj []int32) (*Graph, error) {
 	if len(offsets) == 0 || offsets[0] != 0 {
 		return nil, fmt.Errorf("graph: FromCSR offsets must start with 0 (len %d)", len(offsets))
