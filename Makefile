@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build vet test race race-smoke lint lint-baseline baseline-check check bench bench-smoke electbench-test digest-smoke trace-smoke fault-smoke fault-par-smoke prof-smoke
+.PHONY: build vet test race race-smoke fuzz-smoke lint lint-baseline baseline-check check bench bench-smoke electbench-test digest-smoke trace-smoke fault-smoke fault-par-smoke prof-smoke
 
 build:
 	$(GO) build ./...
@@ -32,10 +32,21 @@ race:
 # experiments whose trial bodies moved onto the parallel trial runner, so
 # per-trial state shared across concurrent trials shows up as a race; it
 # repeats ten times because whether two trials' writes overlap depends on
-# scheduling.
+# scheduling. The third line runs the experiment-side schedule lookahead
+# test (an adaptive schedule at Workers 2 must stay synchronous); the
+# engine-side lookahead tests carry "Workers" in their names and run in the
+# first line.
 race-smoke:
 	$(GO) test -race -timeout 20m ./internal/sim ./internal/fault -run 'Parallel|Workers|Fault|Chaos|Pool'
 	$(GO) test -race -count=10 ./internal/experiment -run 'TestQuickRuns/(E5|E9|E10)'
+	$(GO) test -race ./internal/experiment -run 'Lookahead'
+
+# fuzz-smoke mirrors the CI fuzz step: ten seconds of native fuzzing each
+# for the two CSR entry points of internal/graph. Plain `go test` runs only
+# their seed corpora.
+fuzz-smoke:
+	$(GO) test ./internal/graph -run '^$$' -fuzz '^FuzzFromCSR$$' -fuzztime 10s
+	$(GO) test ./internal/graph -run '^$$' -fuzz '^FuzzBuilderBuild$$' -fuzztime 10s
 
 lint:
 	$(GO) run ./cmd/mtmlint ./...

@@ -10,8 +10,20 @@
 // rounds) in different ways: epoch-wise regeneration, shape-preserving
 // permutation, degree-preserving churn, and random-waypoint mobility.
 //
-// Schedules are deterministic functions of their seed: GraphAt(r) always
-// returns the same topology for the same round, regardless of query order.
+// The schedules here are oblivious: GraphAt(r) is a pure function of the
+// round and the construction parameters (seed included), the same topology
+// for the same round regardless of query order, and never reads the
+// execution's state. Oblivious reports this. A schedule may also be
+// adaptive — experiment's adaptiveStars rebuilds each epoch from the
+// protocols' current ID pairs, the adversary the paper's bounds also range
+// over — and then GraphAt(r) depends on when it is called. Schedules defined
+// outside this package count as adaptive.
+//
+// Schedules are not safe for concurrent use. GraphAt may be called from a
+// goroutine other than the one running the execution — sim.Engine builds an
+// oblivious τ=1 schedule's next round on a helper goroutine while the
+// current round runs — but never concurrently with another call on the same
+// schedule.
 package dyngraph
 
 import (
@@ -58,6 +70,24 @@ type Schedule interface {
 // InfiniteTau is the Tau() value reported by schedules that never change.
 const InfiniteTau = math.MaxInt
 
+// oblivious is implemented by this package's schedules whose GraphAt is a
+// pure function of the round. The method is unexported, so no schedule
+// outside the package can claim it.
+type oblivious interface {
+	oblivious() bool
+}
+
+// Oblivious reports whether s declares GraphAt(r) a pure function of r: it
+// reads no execution state, so calling it earlier than the round it serves —
+// sim.Engine's lookahead does — cannot change the topology it returns.
+// Static, Regenerate (whose generator NewRegenerate requires to be pure),
+// Permuted, Churn and Waypoint are oblivious, and a Switch is
+// when both its halves are. Every other schedule reports false.
+func Oblivious(s Schedule) bool {
+	o, ok := s.(oblivious)
+	return ok && o.oblivious()
+}
+
 // Static wraps a single graph as a never-changing schedule (τ = ∞).
 type Static struct {
 	family gen.Family
@@ -78,6 +108,8 @@ func (s *Static) MaxDegree() int     { return s.family.MaxDegree() }
 func (s *Static) Alpha() float64     { return s.family.Alpha }
 func (s *Static) Name() string       { return "static/" + s.family.Name }
 func (s *Static) Family() gen.Family { return s.family }
+
+func (s *Static) oblivious() bool { return true }
 
 // epoch returns the 0-based epoch index of round r under stability tau.
 func epoch(r, tau int) int {
@@ -113,7 +145,8 @@ type Regenerate struct {
 const regenMemoCap = 16
 
 // NewRegenerate builds a schedule that regenerates the topology every tau
-// rounds by calling generate with per-epoch seeds.
+// rounds by calling generate with per-epoch seeds. generate must be a pure
+// function of its seed.
 func NewRegenerate(name string, tau int, seed uint64, generate func(seed uint64) gen.Family) *Regenerate {
 	if tau < 1 {
 		panic("dyngraph: tau must be >= 1")
@@ -155,6 +188,8 @@ func (s *Regenerate) MaxDegree() int { return s.proto.MaxDegree() }
 func (s *Regenerate) Alpha() float64 { return s.proto.Alpha }
 func (s *Regenerate) Name() string   { return fmt.Sprintf("regen/%s/tau=%d", s.name, s.tau) }
 
+func (s *Regenerate) oblivious() bool { return true }
+
 // Permuted keeps a fixed graph shape but relabels which node occupies which
 // position every τ rounds, via a fresh uniform permutation per epoch. This
 // is the adversarial schedule for leader election: the node holding the
@@ -166,8 +201,11 @@ func (s *Regenerate) Name() string   { return fmt.Sprintf("regen/%s/tau=%d", s.n
 // an epoch boundary allocates nothing. A graph returned by GraphAt therefore
 // stays unchanged while the next epoch is served, and is overwritten when
 // the epoch after that is built. Consumers that call GraphAt every round
-// and keep at most the previous round's graph — Validate and sim.Engine —
-// satisfy this; one that holds a graph longer must Relabel its own copy.
+// and keep at most the previous round's graph, such as Validate, satisfy
+// this; one that holds a graph longer must Relabel its own copy. Under
+// sim.Engine's lookahead the next epoch is built, into the previous
+// epoch's buffer, while a round runs, so there only the current round's
+// graph is stable; the engine reads nothing of the previous one.
 type Permuted struct {
 	base gen.Family
 	seed uint64
@@ -221,6 +259,8 @@ func (s *Permuted) N() int         { return s.base.N() }
 func (s *Permuted) MaxDegree() int { return s.base.MaxDegree() }
 func (s *Permuted) Alpha() float64 { return s.base.Alpha }
 func (s *Permuted) Name() string   { return fmt.Sprintf("permuted/%s/tau=%d", s.base.Name, s.tau) }
+
+func (s *Permuted) oblivious() bool { return true }
 
 // Churn applies a burst of degree-preserving double-edge swaps to the
 // topology every τ rounds, modeling gradual link churn: most of the graph
@@ -398,6 +438,8 @@ func (c *Churn) Tau() int       { return c.tau }
 func (c *Churn) N() int         { return c.base.N() }
 func (c *Churn) MaxDegree() int { return c.base.MaxDegree() }
 func (c *Churn) Alpha() float64 { return math.NaN() }
+
+func (c *Churn) oblivious() bool { return true }
 func (c *Churn) Name() string {
 	return fmt.Sprintf("churn/%s/tau=%d/swaps=%d", c.base.Name, c.tau, c.swapsPerEpoch)
 }
@@ -555,6 +597,8 @@ func (w *Waypoint) N() int   { return w.n }
 // epochs are materialized. Unit-disk degree is bounded by local density.
 func (w *Waypoint) MaxDegree() int { return w.maxDeg }
 func (w *Waypoint) Alpha() float64 { return math.NaN() }
+
+func (w *Waypoint) oblivious() bool { return true }
 func (w *Waypoint) Name() string {
 	return fmt.Sprintf("waypoint/n=%d/r=%.2f/tau=%d", w.n, w.radius, w.tau)
 }
@@ -609,6 +653,7 @@ func (s *Switch) Alpha() float64 {
 	}
 	return math.Min(a, b)
 }
+func (s *Switch) oblivious() bool { return Oblivious(s.A) && Oblivious(s.B) }
 func (s *Switch) Name() string {
 	return fmt.Sprintf("switch(%s->%s@%d)", s.A.Name(), s.B.Name(), s.SwitchRound)
 }

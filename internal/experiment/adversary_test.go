@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"runtime"
 	"testing"
 
 	"mobiletel/internal/core"
@@ -125,5 +126,51 @@ func TestAdaptiveStarsBlindGossipSource(t *testing.T) {
 	}
 	if protocols[0].Leader() != core.MinUID(uids) {
 		t.Fatal("wrong leader under adaptive adversary")
+	}
+}
+
+// TestLookaheadAdaptiveStarsWorkers pins the schedule lookahead's opt-in
+// from the adaptive side: adaptiveStars rebuilds each epoch from the
+// protocols' current ID pairs, so building epoch r+1 while round r runs
+// would read half-updated state. It is not declared oblivious, so an engine
+// at Workers 2 on a host with a second P starts no lookahead helper, and
+// its election — E7's adaptive point at τ=1 and τ=8 — equals Workers 1.
+func TestLookaheadAdaptiveStarsWorkers(t *testing.T) {
+	if runtime.GOMAXPROCS(0) < 2 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	}
+	const n, points = 160, 15
+	for _, tau := range []int{1, 8} {
+		run := func(workers int) (sim.Result, uint64) {
+			params := core.DefaultBitConvParams(n, points+2)
+			protocols, _ := core.NewBitConvNetwork(core.UniqueUIDs(n, 4), params, 5)
+			adv := newAdaptiveStars(n, points, tau)
+			adv.SetSource(protocols)
+			if dyngraph.Oblivious(adv) {
+				t.Fatal("adaptiveStars reports itself oblivious")
+			}
+			before := runtime.NumGoroutine()
+			eng, err := sim.New(adv, protocols, sim.Config{Seed: 6, TagBits: 1, Workers: workers, MaxRounds: 1_000_000})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer eng.Close()
+			if after := runtime.NumGoroutine(); after > before {
+				t.Fatalf("Workers=%d: New started %d goroutines on an adaptive schedule", workers, after-before)
+			}
+			res, err := eng.Run(sim.AllLeadersEqual)
+			if err != nil {
+				t.Fatalf("τ=%d Workers=%d: %v", tau, workers, err)
+			}
+			h := uint64(14695981039346656037)
+			for _, p := range protocols {
+				h = (h ^ p.Leader()) * 1099511628211
+			}
+			return res, h
+		}
+		wantRes, wantDigest := run(1)
+		if res, digest := run(2); res != wantRes || digest != wantDigest {
+			t.Fatalf("τ=%d: Workers=2 gave (%+v, %#x), Workers=1 (%+v, %#x)", tau, res, digest, wantRes, wantDigest)
+		}
 	}
 }

@@ -102,3 +102,67 @@ func TestBuildAllocsIndependentOfN(t *testing.T) {
 		t.Fatalf("Build allocs: %v at n=64, %v at n=4096; want a constant", small, large)
 	}
 }
+
+// FuzzFromCSR checks FromCSR on arbitrary arrays: it either returns an
+// error — never panics — or a graph Equal to the Builder's graph over the
+// same edges. Each input byte is one int32 entry read as a signed byte, so
+// negative offsets and neighbors are reachable.
+func FuzzFromCSR(f *testing.F) {
+	seed := func(offsets, adj []int8) {
+		f.Add(int8Bytes(offsets), int8Bytes(adj))
+	}
+	seed([]int8{0}, nil)                                  // empty graph
+	seed([]int8{0, 1, 3, 4}, []int8{1, 0, 2, 1})          // path 0-1-2
+	seed([]int8{0, 3, 4, 5, 6}, []int8{1, 2, 3, 0, 0, 0}) // star
+	seed(nil, nil)                                        // empty offsets
+	seed([]int8{1, 1}, nil)                               // nonzero start
+	seed([]int8{0, 2}, []int8{1})                         // length mismatch
+	seed([]int8{0, 1, 1}, []int8{1})                      // odd adjacency
+	seed([]int8{0, 2, 1, 4}, []int8{1, 2, 0, 0})          // decreasing
+	seed([]int8{0, 5, 2}, []int8{1, 0})                   // interior offset past adj
+	seed([]int8{0, 1, 2}, []int8{1, 2})                   // out of range
+	seed([]int8{0, 1, 2}, []int8{1, -1})                  // negative neighbor
+	seed([]int8{0, 1, 2}, []int8{0, 0})                   // self loop
+	seed([]int8{0, 2, 3, 5, 6}, []int8{2, 1, 0, 0, 3, 2}) // unsorted list
+	seed([]int8{0, 2, 4}, []int8{1, 1, 0, 0})             // duplicate edge
+	seed([]int8{0, 1, 2, 2}, []int8{1, 2})                // asymmetric
+	f.Fuzz(func(t *testing.T, ob, ab []byte) {
+		offsets, adj := bytesInt32(ob), bytesInt32(ab)
+		g, err := FromCSR(offsets, adj)
+		if err != nil {
+			return
+		}
+		n := len(offsets) - 1
+		b := NewBuilder(n)
+		for u := 0; u < n; u++ {
+			for _, v := range adj[offsets[u]:offsets[u+1]] {
+				if int(v) > u {
+					b.AddEdge(u, int(v))
+				}
+			}
+		}
+		want, err := b.Build()
+		if err != nil {
+			t.Fatalf("FromCSR accepted %v %v, but its edges do not build: %v", offsets, adj, err)
+		}
+		if !g.Equal(want) || g.M() != want.M() || g.MaxDegree() != want.MaxDegree() {
+			t.Fatalf("FromCSR(%v, %v) = %v, Builder = %v", offsets, adj, g, want)
+		}
+	})
+}
+
+func int8Bytes(s []int8) []byte {
+	b := make([]byte, len(s))
+	for i, v := range s {
+		b[i] = byte(v)
+	}
+	return b
+}
+
+func bytesInt32(b []byte) []int32 {
+	s := make([]int32, len(b))
+	for i, v := range b {
+		s[i] = int32(int8(v))
+	}
+	return s
+}

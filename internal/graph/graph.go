@@ -434,6 +434,9 @@ func FromCSR(offsets, adj []int32) (*Graph, error) {
 		if offsets[u+1] < offsets[u] {
 			return nil, fmt.Errorf("graph: FromCSR offsets decrease at node %d", u)
 		}
+		if int(offsets[u+1]) > len(adj) {
+			return nil, fmt.Errorf("graph: FromCSR offset %d of node %d is past the %d adjacency entries", offsets[u+1], u+1, len(adj))
+		}
 		if d := int(offsets[u+1] - offsets[u]); d > maxDeg {
 			maxDeg = d
 		}

@@ -407,12 +407,12 @@ func TestRelabelIntoRejectsSourceAsDestination(t *testing.T) {
 
 func TestBalancedChunksInvariants(t *testing.T) {
 	graphs := map[string]*Graph{
-		"path40":   mustPath(t, 40),
-		"empty5":   NewBuilder(5).MustBuild(),
-		"random":   randomGraph(5, 97, 0.07),
-		"single":   NewBuilder(1).MustBuild(),
-		"zero":     NewBuilder(0).MustBuild(),
-		"star":     mustStar(t, 64),
+		"path40": mustPath(t, 40),
+		"empty5": NewBuilder(5).MustBuild(),
+		"random": randomGraph(5, 97, 0.07),
+		"single": NewBuilder(1).MustBuild(),
+		"zero":   NewBuilder(0).MustBuild(),
+		"star":   mustStar(t, 64),
 	}
 	for name, g := range graphs {
 		for _, workers := range []int{1, 2, 3, 7, 8, 16, 200} {
@@ -514,6 +514,7 @@ func TestFromCSRRejectsMalformed(t *testing.T) {
 		"length mismatch":   {[]int32{0, 2}, []int32{1}},
 		"odd adjacency":     {[]int32{0, 1, 1}, []int32{1}},
 		"decreasing":        {[]int32{0, 2, 1, 4}, []int32{1, 2, 0, 0}},
+		"offset past adj":   {[]int32{0, 5, 2}, []int32{1, 0}},
 		"out of range":      {[]int32{0, 1, 2}, []int32{1, 2}},
 		"negative neighbor": {[]int32{0, 1, 2}, []int32{1, -1}},
 		"self loop":         {[]int32{0, 1, 2}, []int32{0, 0}},

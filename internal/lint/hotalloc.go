@@ -47,7 +47,8 @@ import (
 // interface methods, func-typed fields and parameters — are boundaries this
 // analyzer cannot see across. The sim.Protocol callbacks behind them are
 // certified separately: the paper's three algorithms (internal/core's
-// BlindGossip, BitConv and AsyncBitConv) mark their Advertise, Decide,
+// BlindGossip, BitConv and AsyncBitConv) and its two rumor strategies
+// (internal/rumor's PushPull and PPush) mark their Advertise, Decide,
 // Outgoing, Deliver and EndRound as hotpath roots of their own, and
 // TestPaperProtocolsZeroAllocsTau1 pins the same rounds at runtime.
 var Hotalloc = &Analyzer{

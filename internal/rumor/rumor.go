@@ -57,9 +57,13 @@ var _ Spreader = (*PushPull)(nil)
 func NewPushPull(informed bool) *PushPull { return &PushPull{informed: informed} }
 
 // Advertise returns 0: PUSH-PULL uses no tag bits.
+//
+//mtmlint:hotpath
 func (p *PushPull) Advertise(*sim.Context) uint64 { return 0 }
 
 // Decide flips a fair coin; senders pick a uniformly random neighbor.
+//
+//mtmlint:hotpath
 func (p *PushPull) Decide(ctx *sim.Context) (int32, bool) {
 	if ctx.RNG.Bool() {
 		return 0, false
@@ -72,6 +76,8 @@ func (p *PushPull) Decide(ctx *sim.Context) (int32, bool) {
 }
 
 // Outgoing reports rumor possession in the auxiliary bits.
+//
+//mtmlint:hotpath
 func (p *PushPull) Outgoing(*sim.Context, int32) sim.Message {
 	aux := uint64(0)
 	if p.informed {
@@ -82,6 +88,8 @@ func (p *PushPull) Outgoing(*sim.Context, int32) sim.Message {
 
 // Deliver learns the rumor if the peer had it (PUSH and PULL both work
 // because the exchange is bidirectional).
+//
+//mtmlint:hotpath
 func (p *PushPull) Deliver(ctx *sim.Context, _ int32, msg sim.Message) {
 	if msg.Aux == 1 && !p.informed {
 		ctx.EmitTransition(obs.KindInformed, 0, 1)
@@ -90,6 +98,8 @@ func (p *PushPull) Deliver(ctx *sim.Context, _ int32, msg sim.Message) {
 }
 
 // EndRound is a no-op.
+//
+//mtmlint:hotpath
 func (p *PushPull) EndRound(*sim.Context) {}
 
 // Leader reports rumor status (1 = informed) so generic all-equal stop
@@ -116,6 +126,8 @@ var _ Spreader = (*PPush)(nil)
 func NewPPush(informed bool) *PPush { return &PPush{informed: informed} }
 
 // Advertise: informed nodes advertise 0, uninformed advertise 1.
+//
+//mtmlint:hotpath
 func (p *PPush) Advertise(*sim.Context) uint64 {
 	if p.informed {
 		return 0
@@ -125,6 +137,8 @@ func (p *PPush) Advertise(*sim.Context) uint64 {
 
 // Decide: informed nodes propose to a uniformly random neighbor advertising
 // 1 (an uninformed node); uninformed nodes only receive.
+//
+//mtmlint:hotpath
 func (p *PPush) Decide(ctx *sim.Context) (int32, bool) {
 	if !p.informed {
 		return 0, false
@@ -137,6 +151,8 @@ func (p *PPush) Decide(ctx *sim.Context) (int32, bool) {
 }
 
 // Outgoing transfers the rumor bit.
+//
+//mtmlint:hotpath
 func (p *PPush) Outgoing(*sim.Context, int32) sim.Message {
 	aux := uint64(0)
 	if p.informed {
@@ -146,6 +162,8 @@ func (p *PPush) Outgoing(*sim.Context, int32) sim.Message {
 }
 
 // Deliver learns the rumor from an informed peer.
+//
+//mtmlint:hotpath
 func (p *PPush) Deliver(ctx *sim.Context, _ int32, msg sim.Message) {
 	if msg.Aux == 1 && !p.informed {
 		ctx.EmitTransition(obs.KindInformed, 0, 1)
@@ -154,6 +172,8 @@ func (p *PPush) Deliver(ctx *sim.Context, _ int32, msg sim.Message) {
 }
 
 // EndRound is a no-op.
+//
+//mtmlint:hotpath
 func (p *PPush) EndRound(*sim.Context) {}
 
 // Leader reports rumor status, as for PushPull.

@@ -9,6 +9,7 @@ import (
 	"mobiletel/internal/dyngraph"
 	"mobiletel/internal/graph/gen"
 	"mobiletel/internal/obs"
+	"mobiletel/internal/rumor"
 	"mobiletel/internal/sim"
 )
 
@@ -106,13 +107,14 @@ func TestSteadyStateZeroAllocsTracedParallel(t *testing.T) {
 }
 
 // TestPaperProtocolsZeroAllocsTau1 extends the zero-allocation contract to
-// all three of the paper's algorithms in its adversarial regime, τ=1: the
-// topology is relabelled every round (dyngraph.Permuted), so a warm round
-// covers the relabel into a recycled buffer, the protocol callbacks, the
-// tagged neighbor draws and the value-typed message exchange. AsyncBitConv
-// runs with staggered activations, so its rounds take the activity-filtered
-// scans and draws. Each must be exactly 0 allocations per round at
-// Workers=1.
+// all three of the paper's leader election algorithms and both of its
+// rumor spreading strategies (Section V's PUSH-PULL and PPUSH) in its
+// adversarial regime, τ=1: the topology is relabelled every round
+// (dyngraph.Permuted), so a warm round covers the relabel into a recycled
+// buffer, the protocol callbacks, the tagged neighbor draws and the
+// value-typed message exchange. AsyncBitConv runs with staggered
+// activations, so its rounds take the activity-filtered scans and draws.
+// Each must be exactly 0 allocations per round at Workers=1.
 func TestPaperProtocolsZeroAllocsTau1(t *testing.T) {
 	const n = 256
 	params := core.DefaultBitConvParams(n, 8)
@@ -136,6 +138,12 @@ func TestPaperProtocolsZeroAllocsTau1(t *testing.T) {
 		{"asyncbitconv", core.TagBitsNeeded(params), stagger, func() []sim.Protocol {
 			p, _ := core.NewAsyncBitConvNetwork(core.UniqueUIDs(n, 44), params, 5)
 			return p
+		}},
+		{"pushpull", 0, nil, func() []sim.Protocol {
+			return rumor.NewPushPullNetwork(n, map[int]bool{0: true})
+		}},
+		{"ppush", 1, nil, func() []sim.Protocol {
+			return rumor.NewPPushNetwork(n, map[int]bool{0: true})
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

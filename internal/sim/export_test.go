@@ -8,3 +8,11 @@ func WithPool(cfg Config) Config {
 	cfg.forcePool = true
 	return cfg
 }
+
+// LooksAhead reports whether e builds the schedule's next round on a
+// helper goroutine (see lookahead).
+func LooksAhead(e *Engine) bool { return e.ahead != nil }
+
+// LookaheadRequests reports how many GraphAt requests e's lookahead has
+// published so far: each is one advance of its pool's epoch.
+func LookaheadRequests(e *Engine) uint64 { return e.ahead.pool.epoch.Load() }

@@ -49,12 +49,16 @@ type workerPool struct {
 	epoch atomic.Uint64
 	done  atomic.Int64
 
+	// awake, while set, keeps idle workers yield-spinning past poolSpin
+	// instead of parking (see await). Only the schedule lookahead sets it
+	// (see lookahead.engage).
+	awake atomic.Bool
+
 	mu     sync.Mutex
 	cond   *sync.Cond
 	parked int // workers blocked in cond.Wait, guarded by mu
 
-	workers int  // total worker indices including the dispatching caller (w=0)
-	closed  bool // set by close; dispatch after close is a caller bug
+	workers int // total worker indices including the dispatching caller (w=0)
 }
 
 // poolSpin is how many epoch checks a worker makes (yielding between each)
@@ -83,9 +87,23 @@ func newWorkerPool(workers int) *workerPool {
 //
 //mtmlint:hotpath
 func (p *workerPool) dispatch(ph obs.Phase, fn func(w, lo, hi int), bounds []int, prof *obs.Profiler, selfTimed bool) {
-	if p.closed {
-		panic("sim: dispatch on a closed engine (Run/RunRounds after Close)")
+	p.publish(ph, fn, bounds, prof, selfTimed)
+	if p.profOn {
+		t0 := prof.Clock()
+		fn(0, bounds[0], bounds[1])
+		prof.AddBusy(ph, 0, prof.Clock()-t0)
+	} else {
+		fn(0, bounds[0], bounds[1])
 	}
+	p.join()
+}
+
+// publish fills the dispatch slots and advances the epoch, waking parked
+// workers: the first half of a dispatch. The caller may run other work
+// before join; the schedule lookahead runs a whole round there.
+//
+//mtmlint:hotpath
+func (p *workerPool) publish(ph obs.Phase, fn func(w, lo, hi int), bounds []int, prof *obs.Profiler, selfTimed bool) {
 	p.fn, p.bounds = fn, bounds
 	p.ph, p.prof = ph, prof
 	p.profOn = prof != nil && !selfTimed
@@ -96,13 +114,13 @@ func (p *workerPool) dispatch(ph obs.Phase, fn func(w, lo, hi int), bounds []int
 		p.cond.Broadcast()
 	}
 	p.mu.Unlock()
-	if p.profOn {
-		t0 := prof.Clock()
-		fn(0, bounds[0], bounds[1])
-		prof.AddBusy(ph, 0, prof.Clock()-t0)
-	} else {
-		fn(0, bounds[0], bounds[1])
-	}
+}
+
+// join waits until every worker has finished the published epoch, then
+// un-pins the dispatch slots: the second half of a dispatch.
+//
+//mtmlint:hotpath
+func (p *workerPool) join() {
 	for p.done.Load() < int64(p.workers-1) {
 		runtime.Gosched()
 	}
@@ -136,12 +154,13 @@ func (p *workerPool) worker(w int) {
 }
 
 // await blocks until the epoch moves past last and returns the new value:
-// a bounded yield-spin first (covering back-to-back dispatches), then a
-// park on the condition variable. The parked path re-checks the epoch under
-// mu after registering in parked, and the dispatcher broadcasts under mu
-// after advancing the epoch, so a wakeup can never be missed.
+// a yield-spin first (covering back-to-back dispatches), then a park on the
+// condition variable. The spin is bounded by poolSpin unless awake is set,
+// in which case it lasts until awake clears. The parked path re-checks the
+// epoch under mu after registering in parked, and the dispatcher broadcasts
+// under mu after advancing the epoch, so a wakeup can never be missed.
 func (p *workerPool) await(last uint64) uint64 {
-	for i := 0; i < poolSpin; i++ {
+	for i := 0; i < poolSpin || p.awake.Load(); i++ {
 		if e := p.epoch.Load(); e != last {
 			return e
 		}
@@ -159,23 +178,10 @@ func (p *workerPool) await(last uint64) uint64 {
 	}
 }
 
-// close advances the epoch with a nil fn — the workers' exit signal — and
-// joins them. Idempotent; the pool cannot be restarted (Engine.Close is
+// close publishes a nil fn — the workers' exit signal — and joins them. The
+// pool cannot be restarted; Engine.Close calls it at most once (Close is
 // terminal, and the finalizer path only runs when the engine is garbage).
 func (p *workerPool) close() {
-	if p.closed {
-		return
-	}
-	p.closed = true
-	p.fn, p.bounds = nil, nil
-	p.done.Store(0)
-	p.epoch.Add(1)
-	p.mu.Lock()
-	if p.parked > 0 {
-		p.cond.Broadcast()
-	}
-	p.mu.Unlock()
-	for p.done.Load() < int64(p.workers-1) {
-		runtime.Gosched()
-	}
+	p.publish(0, nil, nil, nil, false)
+	p.join()
 }

@@ -27,6 +27,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"sync/atomic"
 
 	"mobiletel/internal/dyngraph"
 	"mobiletel/internal/fault"
@@ -288,8 +289,13 @@ type Config struct {
 	// run on a persistent worker pool, which the engine starts only when the
 	// network is large enough — and the host wide enough — for parallel
 	// dispatch to pay (see DESIGN §14 for the measured crossover); smaller
-	// engines run every phase inline. Results, traces, and digests are
-	// identical for any worker count; only throughput differs.
+	// engines run every phase inline. An inline engine with Workers > 1 on
+	// a host with a second P still uses one more goroutine when its
+	// schedule is oblivious (dyngraph.Oblivious) and changes every round
+	// (τ=1): it builds the next round's topology while the current round
+	// runs, which saves the per-round relabel, whenever no other engine
+	// running in the process needs that P. Results, traces, and digests
+	// are identical for any worker count; only throughput differs.
 	Workers int
 
 	// Accept selects how a receiver picks among incoming proposals.
@@ -483,6 +489,24 @@ type Engine struct {
 	pool   *workerPool
 	hist   []int32 // per-worker proposal histograms/cursors, workers rows of n; pool only
 	chosen []int32 // per-receiver accepted sender (or noPartner); pool only
+
+	// ahead, on inline engines with a spare worker and a second P, builds
+	// the next round's topology while the current round runs (resolved in
+	// New, see lookahead). lastRound is the last round the current Run or
+	// RunRounds call may execute; no request looks past it.
+	ahead     *lookahead
+	lastRound int
+
+	// claim is how many Ps a Run or RunRounds call of this engine keeps
+	// busy — 1 inline, Workers with a pool, 2 with a lookahead — and procs
+	// is GOMAXPROCS at the call's start (see busyPs).
+	claim, procs int64
+
+	// reaper carries the finalizer that stops the worker goroutines of an
+	// engine that is never closed; closed is set by Close, after which Run
+	// and RunRounds panic.
+	reaper *reaper
+	closed bool
 
 	// fuseScanAdv enables the fused scan+advertise body (resolved in New):
 	// only on fault-free rounds whose trace emission is buffered (or
@@ -679,8 +703,8 @@ func New(sched dyngraph.Schedule, protocols []Protocol, cfg Config) (*Engine, er
 	// second worker, a second P for it to run on (with GOMAXPROCS=1 any
 	// dispatch cost is pure loss), and a network at or above the pool's
 	// measured dispatch floor. A parked pool holds no engine reference, so
-	// the finalizer fires once the engine is garbage and stops the workers;
-	// Close does the same deterministically.
+	// the reaper's finalizer fires once the engine is garbage and stops the
+	// workers; Close does the same deterministically.
 	gate := poolDispatchFloor
 	if cfg.forcePool {
 		gate = 0
@@ -689,7 +713,24 @@ func New(sched dyngraph.Schedule, protocols []Protocol, cfg Config) (*Engine, er
 		e.pool = newWorkerPool(workers)
 		e.hist = make([]int32, workers*n)
 		e.chosen = make([]int32, n)
-		runtime.SetFinalizer(e, func(en *Engine) { en.pool.close() })
+	}
+	// An inline engine spends its spare worker on the schedule instead,
+	// when GraphAt is a pure function of the round and the topology
+	// changes every round (see lookahead).
+	if e.pool == nil && workers > 1 && runtime.GOMAXPROCS(0) > 1 &&
+		dyngraph.Oblivious(sched) && sched.Tau() == 1 {
+		e.ahead = newLookahead(sched)
+	}
+	e.claim = int64(e.spanWorkers())
+	if e.ahead != nil {
+		e.claim = 2
+	}
+	if e.pool != nil || e.ahead != nil {
+		e.reaper = &reaper{pool: e.pool}
+		if e.ahead != nil {
+			e.reaper.ahead = e.ahead.pool
+		}
+		runtime.SetFinalizer(e.reaper, (*reaper).stop)
 	}
 	// Scan+advertise fuse only on fault-free rounds — resets and churn
 	// publication run between them otherwise — whose trace emission is
@@ -721,15 +762,72 @@ func New(sched dyngraph.Schedule, protocols []Protocol, cfg Config) (*Engine, er
 	return e, nil
 }
 
-// Close stops the engine's worker pool, if any. It is idempotent, safe on
-// engines that never had a pool, and terminal: running more rounds after
-// Close panics. Transient engines (the facade's per-call engines, benchmark
-// sweeps) should Close when done; engines that simply go out of scope are
-// cleaned up by the finalizer instead, just less promptly.
+// Close stops the engine's worker goroutines — the pool's, or the
+// schedule lookahead's — if any. It is idempotent and terminal on every
+// engine: Run or RunRounds after Close panics. Transient engines (the
+// facade's per-call engines, benchmark sweeps) should Close when done;
+// engines that simply go out of scope are cleaned up by the finalizer
+// instead, just less promptly.
 func (e *Engine) Close() {
-	if e.pool != nil {
-		e.pool.close()
-		runtime.SetFinalizer(e, nil)
+	if e.closed {
+		return
+	}
+	e.closed = true
+	if e.reaper != nil {
+		runtime.SetFinalizer(e.reaper, nil)
+		e.reaper.stop()
+	}
+}
+
+// reaper stops an engine's worker pools. It holds the finalizer for
+// engines that are never closed: an Engine references itself (its bound
+// phase closures), and the runtime never finalizes an object reachable
+// from itself, so the finalizer sits on this acyclic object, which only
+// the engine references and which dies with it.
+type reaper struct {
+	pool, ahead *workerPool
+}
+
+func (r *reaper) stop() {
+	if r.pool != nil {
+		r.pool.close()
+	}
+	if r.ahead != nil {
+		r.ahead.close()
+	}
+}
+
+// busyPs sums the claims of every engine inside Run or RunRounds in the
+// process. A lookahead engages only while the sum is at most GOMAXPROCS, so
+// its helper runs on a P that would otherwise idle. Engines running side by
+// side (RunSweep's trials, for one) leave no such P, and a helper competing
+// with them for one slows every run down.
+var busyPs atomic.Int64
+
+// enter opens a Run or RunRounds call whose last possible round is last.
+func (e *Engine) enter(last int) {
+	if e.closed {
+		panic("sim: dispatch on a closed engine (Run/RunRounds after Close)")
+	}
+	e.lastRound = last
+	e.procs = int64(runtime.GOMAXPROCS(0))
+	busyPs.Add(e.claim)
+}
+
+// leave closes a Run or RunRounds call, also when a round panicked: it
+// joins a lookahead request still in flight, so the schedule is the
+// caller's again on return, and lets the helper park. The request was for
+// a round that never runs, so its graph and any panic from it are dropped:
+// Run returns, or re-panics with the round's own value, as without a
+// lookahead.
+func (e *Engine) leave() {
+	busyPs.Add(-e.claim)
+	if e.ahead == nil {
+		return
+	}
+	e.ahead.engage(false)
+	if e.ahead.pending {
+		e.ahead.drop()
 	}
 }
 
@@ -737,7 +835,9 @@ func (e *Engine) Close() {
 // On timeout it returns the partial result and an error wrapping
 // ErrNotStabilized.
 func (e *Engine) Run(stop StopCondition) (Result, error) {
+	e.enter(e.cfg.MaxRounds)
 	defer e.endSink()
+	defer e.leave()
 	var res Result
 	for r := 1; r <= e.cfg.MaxRounds; r++ {
 		stats := e.step(r)
@@ -783,6 +883,8 @@ func (e *Engine) endSink() {
 // continuing the round counter from previous calls to Run/RunRounds.
 // It is used by stability-validation tests.
 func (e *Engine) RunRounds(startRound, k int) {
+	e.enter(startRound + k - 1)
+	defer e.leave()
 	e.beginSink()
 	for r := startRound; r < startRound+k; r++ {
 		e.step(r)
@@ -821,11 +923,33 @@ func (e *Engine) refreshChunks(g *graph.Graph) {
 	e.chunkG = g
 }
 
+// graphAt returns round r's topology — the lookahead's build when one is in
+// flight, else the schedule's own — and, when round r+1 falls within the
+// current call and the process leaves a P idle (busyPs), hands
+// GraphAt(r+1) to the lookahead so it builds while round r runs.
+//
+//mtmlint:hotpath
+func (e *Engine) graphAt(r int) *graph.Graph {
+	if e.ahead == nil {
+		return e.sched.GraphAt(r)
+	}
+	var g *graph.Graph
+	if e.ahead.pending {
+		g = e.ahead.take()
+	} else {
+		g = e.sched.GraphAt(r)
+	}
+	if r < e.lastRound && e.ahead.engage(busyPs.Load() <= e.procs) {
+		e.ahead.start(r + 1)
+	}
+	return g
+}
+
 // stepCore is the round body shared by profiled and unprofiled runs.
 //
 //mtmlint:hotpath
 func (e *Engine) stepCore(r int) RoundStats {
-	g := e.sched.GraphAt(r)
+	g := e.graphAt(r)
 	// Schedules that recycle graph storage (dyngraph.Permuted) still hand
 	// consecutive epochs different graphs, so this pointer check sees every
 	// epoch change.
